@@ -13,13 +13,21 @@ namespace {
 // Set while a thread (worker or participating caller) executes pool tasks.
 thread_local bool tls_in_parallel_region = false;
 
+// The calling thread's innermost ScopedNumThreads value; 0 = no scope.
+thread_local int tls_scoped_threads = 0;
+
+// Resolved once, at first use: reading the environment and probing the CPU
+// cost microseconds per call, which the per-GEMM lookups cannot afford.
 int DefaultNumThreads() {
-  if (const char* env = std::getenv("T2VEC_THREADS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
+  static const int resolved = [] {
+    if (const char* env = std::getenv("T2VEC_THREADS")) {
+      const int n = std::atoi(env);
+      if (n > 0) return n;
+    }
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw > 0 ? static_cast<int>(hw) : 1;
+  }();
+  return resolved;
 }
 
 // 0 means "unset, fall back to DefaultNumThreads()".
@@ -88,9 +96,10 @@ void ThreadPool::Run(std::vector<std::function<void()>> tasks) {
 }
 
 ThreadPool& ThreadPool::Global() {
-  // Sized once at first use; SetNumThreads then only changes how many chunks
-  // ParallelFor creates, not the pool size. Intentionally leaked so tasks
-  // running during static destruction never touch a dead pool.
+  // Sized once at first use; SetNumThreads and ScopedNumThreads then only
+  // change how many chunks ParallelFor creates, not the pool size.
+  // Intentionally leaked so tasks running during static destruction never
+  // touch a dead pool.
   static ThreadPool* pool = new ThreadPool(DefaultNumThreads());
   return *pool;
 }
@@ -99,22 +108,32 @@ bool ThreadPool::InParallelRegion() { return tls_in_parallel_region; }
 
 void SetNumThreads(int n) { g_num_threads.store(n > 0 ? n : 0); }
 
-int ExchangeNumThreads(int n) {
-  return g_num_threads.exchange(n > 0 ? n : 0);
-}
-
 int GetNumThreads() {
+  if (tls_scoped_threads > 0) return tls_scoped_threads;
   const int n = g_num_threads.load();
   return n > 0 ? n : DefaultNumThreads();
+}
+
+ScopedNumThreads::ScopedNumThreads(int n)
+    : active_(n > 0), prev_(tls_scoped_threads) {
+  if (active_) tls_scoped_threads = n;
+}
+
+ScopedNumThreads::~ScopedNumThreads() {
+  if (active_) tls_scoped_threads = prev_;
 }
 
 void ParallelFor(size_t begin, size_t end, size_t grain,
                  const std::function<void(size_t)>& fn, int num_threads) {
   if (end <= begin) return;
   const size_t n = end - begin;
-  const int threads = num_threads > 0 ? num_threads : GetNumThreads();
-  if (threads <= 1 || n <= std::max<size_t>(grain, 1) ||
-      ThreadPool::InParallelRegion()) {
+  // The cheap inline checks come first, so a loop that runs inline never
+  // reads the thread count.
+  int threads = 1;
+  if (n > std::max<size_t>(grain, 1) && !ThreadPool::InParallelRegion()) {
+    threads = num_threads > 0 ? num_threads : GetNumThreads();
+  }
+  if (threads <= 1) {
     for (size_t i = begin; i < end; ++i) fn(i);
     return;
   }

@@ -24,9 +24,16 @@
 ///
 /// Thread-count resolution, in decreasing priority:
 ///   1. an explicit `num_threads` argument to `ParallelFor` (> 0),
-///   2. the process-wide value set by `SetNumThreads` (tests, config wiring),
-///   3. the `T2VEC_THREADS` environment variable,
-///   4. `std::thread::hardware_concurrency()`.
+///   2. the calling thread's innermost `ScopedNumThreads` (thread-local),
+///   3. the process-wide value set by `SetNumThreads` (tests, config wiring),
+///   4. the default: the `T2VEC_THREADS` environment variable, else
+///      `std::thread::hardware_concurrency()`. It is resolved once, at first
+///      use (the same moment the global pool is sized), so a later change to
+///      the environment is ignored and no hot path re-reads it.
+///
+/// `ParallelFor` and the GEMM kernels consult the count only after their
+/// cheap inline checks (tiny ranges, nested calls), so a call that runs
+/// inline reads no global state at all.
 ///
 /// Nested `ParallelFor` calls run inline on the calling worker: the inner
 /// loop's work is already covered by the outer partitioning, and running it
@@ -53,8 +60,9 @@ class ThreadPool {
   /// concurrent lanes and `Run` never blocks on an idle queue.
   void Run(std::vector<std::function<void()>> tasks);
 
-  /// Lazily constructed process-wide pool sized by `T2VEC_THREADS` (or
-  /// hardware concurrency). Never destroyed before process exit.
+  /// Lazily constructed process-wide pool sized by the default thread count
+  /// (`T2VEC_THREADS`, else hardware concurrency). Never destroyed before
+  /// process exit.
   static ThreadPool& Global();
 
   /// True when called from inside a `Run` task (worker or participating
@@ -82,27 +90,26 @@ class ThreadPool {
 
 /// Sets the process-wide thread count used when no explicit override is
 /// given. `n <= 0` restores the default (`T2VEC_THREADS` env, then hardware
-/// concurrency). Thread-safe; mainly for tests and benchmark harnesses.
+/// concurrency, resolved once). Thread-safe; mainly for tests and benchmark
+/// harnesses.
 void SetNumThreads(int n);
 
-/// The thread count `ParallelFor` resolves to when `num_threads <= 0`.
+/// The thread count `ParallelFor` resolves to when `num_threads <= 0`: the
+/// calling thread's scoped override, else the process-wide setting, else
+/// the default.
 int GetNumThreads();
 
-/// Sets the process-wide thread count and returns the previous raw setting
-/// (0 = default resolution). The returned value round-trips through
-/// `SetNumThreads` to restore the prior state.
-int ExchangeNumThreads(int n);
-
-/// RAII override of the process-wide thread count (restores the previous
-/// setting on destruction). `n <= 0` leaves the current setting untouched.
-/// Used by the trainer to scope `T2VecConfig::num_threads` to RunBatch.
+/// RAII override of the thread count for the calling thread only (restores
+/// the previous scoped value on destruction; scopes nest). `n <= 0` leaves
+/// the current setting untouched. Other threads — including a concurrent
+/// scope on another thread — never see it, so overlapping scopes on
+/// different threads cannot leak into each other or into the process-wide
+/// setting. Used by the trainer to scope `T2VecConfig::num_threads` to
+/// RunBatch and by the embedding service to scope its flushes.
 class ScopedNumThreads {
  public:
-  explicit ScopedNumThreads(int n)
-      : active_(n > 0), prev_(active_ ? ExchangeNumThreads(n) : 0) {}
-  ~ScopedNumThreads() {
-    if (active_) SetNumThreads(prev_);
-  }
+  explicit ScopedNumThreads(int n);
+  ~ScopedNumThreads();
   ScopedNumThreads(const ScopedNumThreads&) = delete;
   ScopedNumThreads& operator=(const ScopedNumThreads&) = delete;
 

@@ -1,7 +1,9 @@
 #include "core/model.h"
 
 #include <algorithm>
+#include <numeric>
 
+#include "common/sort.h"
 #include "common/thread_pool.h"
 #include "core/pairs.h"
 
@@ -144,38 +146,56 @@ double EncoderDecoder::RunBatch(const Batch& batch, SeqLoss* loss,
   return total_loss;
 }
 
-nn::Matrix EncoderDecoder::EncodeBatch(
-    const std::vector<traj::TokenSeq>& seqs) const {
-  const size_t n = seqs.size();
-  nn::Matrix out(n, hidden());
-  if (n == 0) return out;
+namespace {
 
-  size_t max_len = 0;
-  for (const traj::TokenSeq& s : seqs) max_len = std::max(max_len, s.size());
-  if (max_len == 0) return out;
+// The packed, step-major inference forward shared by the fp32 and int8
+// encoders (`Stack` is nn::Gru or nn::QuantizedGru). Rows are stably sorted
+// longest first; step t embeds only the tokens of the rows still active and
+// the stack advances that prefix, so no row is padded or masked. Each row's
+// final state is scattered back to its input position; empty sequences
+// keep the zero vector.
+template <typename Stack>
+nn::Matrix EncodePacked(const nn::Embedding& embedding, const Stack& stack,
+                        const std::vector<traj::TokenSeq>& seqs) {
+  nn::Matrix out(seqs.size(), stack.hidden());
+  std::vector<size_t> order(seqs.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  DeterministicSort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return seqs[a].size() != seqs[b].size() ? seqs[a].size() > seqs[b].size()
+                                            : a < b;
+  });
+  if (order.empty() || seqs[order.front()].empty()) return out;
 
-  std::vector<std::vector<geo::Token>> steps(
-      max_len, std::vector<geo::Token>(n, geo::kPadToken));
-  std::vector<std::vector<float>> masks(max_len,
-                                        std::vector<float>(n, 0.0f));
-  for (size_t b = 0; b < n; ++b) {
-    for (size_t t = 0; t < seqs[b].size(); ++t) {
-      steps[t][b] = seqs[b][t];
-      masks[t][b] = 1.0f;
-    }
+  // batch_sizes[t] = how many sequences are longer than t.
+  std::vector<size_t> batch_sizes(seqs[order.front()].size());
+  size_t active = order.size();
+  for (size_t t = 0; t < batch_sizes.size(); ++t) {
+    while (seqs[order[active - 1]].size() <= t) --active;
+    batch_sizes[t] = active;
   }
 
-  std::vector<nn::Matrix> xs(max_len);
-  for (size_t t = 0; t < max_len; ++t) EmbedStep(steps[t], &xs[t]);
-  nn::Gru::ForwardResult result;
-  encoder_.Forward(xs, nullptr, masks, &result);
-
-  const nn::Matrix& top = result.final_state.h.back();
-  for (size_t b = 0; b < n; ++b) {
-    if (seqs[b].empty()) continue;  // Leave the zero vector.
-    std::copy(top.Row(b), top.Row(b) + hidden(), out.Row(b));
+  std::vector<geo::Token> ids;
+  nn::Matrix final_h;
+  stack.ForwardPacked(
+      batch_sizes,
+      [&](size_t t, nn::Matrix* x) {
+        ids.resize(batch_sizes[t]);
+        for (size_t b = 0; b < ids.size(); ++b) ids[b] = seqs[order[b]][t];
+        embedding.Forward(ids, x);
+      },
+      &final_h);
+  for (size_t b = 0; b < final_h.rows(); ++b) {
+    std::copy(final_h.Row(b), final_h.Row(b) + final_h.cols(),
+              out.Row(order[b]));
   }
   return out;
+}
+
+}  // namespace
+
+nn::Matrix EncoderDecoder::EncodeBatch(
+    const std::vector<traj::TokenSeq>& seqs) const {
+  return EncodePacked(embedding_, encoder_, seqs);
 }
 
 QuantizedEncoder::QuantizedEncoder(const EncoderDecoder& model)
@@ -183,38 +203,7 @@ QuantizedEncoder::QuantizedEncoder(const EncoderDecoder& model)
 
 nn::Matrix QuantizedEncoder::EncodeBatch(
     const std::vector<traj::TokenSeq>& seqs) const {
-  // Mirrors EncoderDecoder::EncodeBatch: pad to step-major token steps with
-  // masks, embed each step (fp32 table lookups — exact), then run the
-  // quantized GRU stack and copy out the top layer's final states.
-  const size_t n = seqs.size();
-  nn::Matrix out(n, hidden());
-  if (n == 0) return out;
-
-  size_t max_len = 0;
-  for (const traj::TokenSeq& s : seqs) max_len = std::max(max_len, s.size());
-  if (max_len == 0) return out;
-
-  std::vector<std::vector<geo::Token>> steps(
-      max_len, std::vector<geo::Token>(n, geo::kPadToken));
-  std::vector<std::vector<float>> masks(max_len,
-                                        std::vector<float>(n, 0.0f));
-  for (size_t b = 0; b < n; ++b) {
-    for (size_t t = 0; t < seqs[b].size(); ++t) {
-      steps[t][b] = seqs[b][t];
-      masks[t][b] = 1.0f;
-    }
-  }
-
-  std::vector<nn::Matrix> xs(max_len);
-  for (size_t t = 0; t < max_len; ++t) embedding_->Forward(steps[t], &xs[t]);
-  nn::Matrix final_h;
-  gru_.Forward(xs, masks, &final_h);
-
-  for (size_t b = 0; b < n; ++b) {
-    if (seqs[b].empty()) continue;  // Leave the zero vector.
-    std::copy(final_h.Row(b), final_h.Row(b) + hidden(), out.Row(b));
-  }
-  return out;
+  return EncodePacked(*embedding_, gru_, seqs);
 }
 
 nn::ParamList EncoderDecoder::Params() {

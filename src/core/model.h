@@ -61,7 +61,10 @@ class EncoderDecoder {
 
   /// Encodes token sequences into representation vectors: returns an
   /// N x hidden matrix whose row i is v(seqs[i]) — the encoder top layer's
-  /// final hidden state. Empty sequences yield the zero vector.
+  /// final hidden state. Empty sequences yield the zero vector. Runs the
+  /// packed, cache-free Gru::ForwardPacked, so row i has the same bits
+  /// whatever the other sequences (and their lengths) are, at any thread
+  /// count.
   nn::Matrix EncodeBatch(const std::vector<traj::TokenSeq>& seqs) const;
 
   OutputProjection& projection() { return proj_; }
@@ -103,7 +106,7 @@ class QuantizedEncoder {
  public:
   explicit QuantizedEncoder(const EncoderDecoder& model);
 
-  /// int8 analogue of EncoderDecoder::EncodeBatch: same padding, masks, and
+  /// int8 analogue of EncoderDecoder::EncodeBatch: same packed forward and
   /// zero-vector-for-empty-sequence behavior; the GRU math runs int8.
   nn::Matrix EncodeBatch(const std::vector<traj::TokenSeq>& seqs) const;
 

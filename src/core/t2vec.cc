@@ -155,7 +155,7 @@ traj::TokenSeq T2Vec::TokenizeForEncoder(const traj::Trajectory& trip) const {
 }
 
 nn::Matrix T2Vec::Encode(const std::vector<traj::Trajectory>& trips) const {
-  // Encode in slices to bound the padded batch size. Slices are independent
+  // Encode in slices to bound the batch's buffers. Slices are independent
   // (the forward pass is const and each slice writes a disjoint row range of
   // `out`), so they parallelize with results bit-identical to a serial run.
   constexpr size_t kSlice = 256;

@@ -55,16 +55,16 @@ class T2Vec {
 
   /// Tokenizes a trajectory exactly the way the encoder consumes it
   /// (reversed when config().reverse_source). Tokenize once, then batch
-  /// with EncodeTokenized — the serving layer buckets requests by token
-  /// length this way without re-tokenizing.
+  /// with EncodeTokenized — the serving layer tokenizes on the caller's
+  /// thread this way and batches without re-tokenizing.
   traj::TokenSeq EncoderTokens(const traj::Trajectory& trip) const {
     return TokenizeForEncoder(trip);
   }
 
-  /// Batch-encodes pre-tokenized sequences (one padded forward pass):
+  /// Batch-encodes pre-tokenized sequences (one packed forward pass):
   /// returns an N x hidden matrix whose row i is the representation of
   /// seqs[i]. Row i depends only on seqs[i] — per-row results are
-  /// bit-identical across batch compositions of equal-length sequences,
+  /// bit-identical to EncodeOne across batch compositions of any lengths,
   /// which is the contract the serving layer's micro-batching relies on.
   nn::Matrix EncodeTokenized(const std::vector<traj::TokenSeq>& seqs) const;
 

@@ -8,17 +8,16 @@ namespace t2vec::nn {
 
 namespace {
 
-// h_out = m ⊙ h_new + (1 - m) ⊙ h_prev, mask broadcast across columns.
-void ApplyMask(const std::vector<float>& mask, const Matrix& h_new,
-               const Matrix& h_prev, Matrix* h_out) {
-  h_out->Resize(h_new.rows(), h_new.cols());
-  const size_t n = h_new.cols();
-  for (size_t b = 0; b < h_new.rows(); ++b) {
+// h = m ⊙ h + (1 - m) ⊙ h_prev in place, mask broadcast across columns:
+// masked-out rows carry h_prev through a training step.
+void ApplyMask(const std::vector<float>& mask, const Matrix& h_prev,
+               Matrix* h) {
+  const size_t n = h->cols();
+  for (size_t b = 0; b < h->rows(); ++b) {
     const float m = mask[b];
-    const float* __restrict hn = h_new.Row(b);
     const float* __restrict hp = h_prev.Row(b);
-    float* __restrict ho = h_out->Row(b);
-    for (size_t j = 0; j < n; ++j) ho[j] = m * hn[j] + (1.0f - m) * hp[j];
+    float* __restrict hn = h->Row(b);
+    for (size_t j = 0; j < n; ++j) hn[j] = m * hn[j] + (1.0f - m) * hp[j];
   }
 }
 
@@ -51,6 +50,50 @@ void UnpackColumns(const Matrix& src, std::initializer_list<Matrix*> dsts) {
 
 }  // namespace
 
+void GruStateUpdate(ConstMatrixView z, ConstMatrixView c,
+                    ConstMatrixView h_prev, MatrixView h) {
+  for (size_t b = 0; b < h.rows; ++b) {
+    const float* __restrict zv = z.Row(b);
+    const float* __restrict cv = c.Row(b);
+    const float* hp = h_prev.Row(b);  // May alias h: no __restrict.
+    float* hn = h.Row(b);
+    for (size_t j = 0; j < h.cols; ++j) {
+      hn[j] = (1.0f - zv[j]) * hp[j] + zv[j] * cv[j];
+    }
+  }
+}
+
+void RunPackedLayers(size_t layers, size_t hidden,
+                     const std::vector<size_t>& batch_sizes,
+                     const PackedStepInput& input, const PackedLayerStep& step,
+                     Matrix* final_h) {
+  T2VEC_CHECK(!batch_sizes.empty());
+  const size_t rows = batch_sizes.front();
+  std::vector<Matrix> hs(layers, Matrix(rows, hidden));  // Zero h0.
+  Matrix x;
+  Matrix pre(rows, 3 * hidden);
+  Matrix z(rows, hidden), r(rows, hidden), c(rows, hidden), rh(rows, hidden);
+  size_t prev_active = rows;
+  for (size_t t = 0; t < batch_sizes.size(); ++t) {
+    const size_t active = batch_sizes[t];
+    T2VEC_CHECK(active >= 1 && active <= prev_active);
+    prev_active = active;
+    input(t, &x);
+    T2VEC_CHECK(x.rows() == active);
+    const GruLayer::StepGates gates{
+        RowBlock(&z, 0, active), RowBlock(&r, 0, active),
+        RowBlock(&c, 0, active), RowBlock(&rh, 0, active)};
+    const MatrixView active_pre = RowBlock(&pre, 0, active);
+    ConstMatrixView layer_in = x;
+    for (size_t l = 0; l < layers; ++l) {
+      const MatrixView h = RowBlock(&hs[l], 0, active);
+      step(l, layer_in, h, active_pre, gates);
+      layer_in = h;
+    }
+  }
+  *final_h = std::move(hs.back());
+}
+
 GruLayer::GruLayer(const std::string& name, size_t in_dim, size_t hidden,
                    Rng& rng)
     : wz_(name + ".Wz", in_dim, hidden),
@@ -82,6 +125,56 @@ void GruLayer::RefreshPacks() const {
   pc.version.store(version, std::memory_order_release);
 }
 
+void GruLayer::Step(ConstMatrixView x, ConstMatrixView h_prev,
+                    MatrixView pre, const StepGates& g, MatrixView h) const {
+  const size_t dim = hidden();
+  T2VEC_CHECK(x.cols == in_dim() && h_prev.rows == x.rows &&
+              h_prev.cols == dim && h.rows == x.rows && h.cols == dim &&
+              pre.rows == x.rows && pre.cols == 3 * dim);
+
+  if (FusedKernelsEnabled()) {
+    RefreshPacks();
+    const PackCache& pc = *packs_;
+    // [pre_c | pre_z | pre_r] = x [Wc|Wz|Wr]; then the z/r blocks get the
+    // hidden-state term in one GEMM over [Uz|Ur]. Identical per-element
+    // accumulation chains as the per-gate calls below (nn/matrix.h).
+    GemmV(x, pc.w_pack, pre);
+    GemmV(h_prev, pc.u_pack, ColBlock(pre, dim, 2 * dim), 1.0f, 1.0f);
+
+    AddRowBroadcastV(ColBlock(pre, dim, dim), bz_.value);
+    SigmoidV(ColBlock(pre, dim, dim), g.z);
+
+    AddRowBroadcastV(ColBlock(pre, 2 * dim, dim), br_.value);
+    SigmoidV(ColBlock(pre, 2 * dim, dim), g.r);
+
+    HadamardV(g.r, h_prev, g.rh);
+    GemmV(g.rh, uc_.value, ColBlock(pre, 0, dim), 1.0f, 1.0f);
+    AddRowBroadcastV(ColBlock(pre, 0, dim), bc_.value);
+    TanhV(ColBlock(pre, 0, dim), g.c);
+  } else {
+    const MatrixView gate_pre = ColBlock(pre, 0, dim);  // Reused per gate.
+    // z = sigmoid(x Wz + h_prev Uz + bz)
+    GemmV(x, wz_.value, gate_pre);
+    GemmV(h_prev, uz_.value, gate_pre, 1.0f, 1.0f);
+    AddRowBroadcastV(gate_pre, bz_.value);
+    SigmoidV(gate_pre, g.z);
+
+    // r = sigmoid(x Wr + h_prev Ur + br)
+    GemmV(x, wr_.value, gate_pre);
+    GemmV(h_prev, ur_.value, gate_pre, 1.0f, 1.0f);
+    AddRowBroadcastV(gate_pre, br_.value);
+    SigmoidV(gate_pre, g.r);
+
+    // c = tanh(x Wc + (r ⊙ h_prev) Uc + bc)
+    HadamardV(g.r, h_prev, g.rh);
+    GemmV(x, wc_.value, gate_pre);
+    GemmV(g.rh, uc_.value, gate_pre, 1.0f, 1.0f);
+    AddRowBroadcastV(gate_pre, bc_.value);
+    TanhV(gate_pre, g.c);
+  }
+  GruStateUpdate(g.z, g.c, h_prev, h);
+}
+
 void GruLayer::Forward(const std::vector<Matrix>& xs, const Matrix& h0,
                        const std::vector<std::vector<float>>& masks,
                        GruCache* cache) const {
@@ -97,80 +190,18 @@ void GruLayer::Forward(const std::vector<Matrix>& xs, const Matrix& h0,
   cache->rh.resize(steps);
   cache->h.resize(steps);
 
-  const bool fused = FusedKernelsEnabled();
-  if (fused) RefreshPacks();
-  const PackCache& pc = *packs_;
-
-  Matrix pre3;                // Fused: all three pre-activations, B x 3H.
-  Matrix pre(batch, dim);     // Unfused: reused per-gate buffer.
-  Matrix h_raw(batch, dim);   // Pre-mask new hidden.
-  if (fused) pre3.Resize(batch, 3 * dim);
-
+  Matrix pre(batch, 3 * dim);  // Gate pre-activations, reused per step.
   for (size_t t = 0; t < steps; ++t) {
     const Matrix& x = xs[t];
     const Matrix& h_prev = (t == 0) ? h0 : cache->h[t - 1];
-    T2VEC_CHECK(x.rows() == batch && x.cols() == in_dim());
-
-    if (fused) {
-      // [pre_c | pre_z | pre_r] = x [Wc|Wz|Wr]; then the z/r blocks get the
-      // hidden-state term in one GEMM over [Uz|Ur]. Identical per-element
-      // accumulation chains as the per-gate calls below (nn/matrix.h).
-      GemmV(x, pc.w_pack, pre3);
-      GemmV(h_prev, pc.u_pack, ColBlock(&pre3, dim, 2 * dim), 1.0f, 1.0f);
-
-      AddRowBroadcastV(ColBlock(&pre3, dim, dim), bz_.value);
-      cache->z[t].Resize(batch, dim);
-      SigmoidV(ColBlock(pre3, dim, dim), cache->z[t]);
-
-      AddRowBroadcastV(ColBlock(&pre3, 2 * dim, dim), br_.value);
-      cache->r[t].Resize(batch, dim);
-      SigmoidV(ColBlock(pre3, 2 * dim, dim), cache->r[t]);
-
-      Hadamard(cache->r[t], h_prev, &cache->rh[t]);
-      GemmV(cache->rh[t], uc_.value, ColBlock(&pre3, 0, dim), 1.0f, 1.0f);
-      AddRowBroadcastV(ColBlock(&pre3, 0, dim), bc_.value);
-      cache->c[t].Resize(batch, dim);
-      TanhV(ColBlock(pre3, 0, dim), cache->c[t]);
-    } else {
-      // z = sigmoid(x Wz + h_prev Uz + bz)
-      Gemm(x, wz_.value, &pre);
-      Gemm(h_prev, uz_.value, &pre, 1.0f, 1.0f);
-      AddRowBroadcast(&pre, bz_.value);
-      Sigmoid(pre, &cache->z[t]);
-
-      // r = sigmoid(x Wr + h_prev Ur + br)
-      Gemm(x, wr_.value, &pre);
-      Gemm(h_prev, ur_.value, &pre, 1.0f, 1.0f);
-      AddRowBroadcast(&pre, br_.value);
-      Sigmoid(pre, &cache->r[t]);
-
-      // c = tanh(x Wc + (r ⊙ h_prev) Uc + bc)
-      Hadamard(cache->r[t], h_prev, &cache->rh[t]);
-      Gemm(x, wc_.value, &pre);
-      Gemm(cache->rh[t], uc_.value, &pre, 1.0f, 1.0f);
-      AddRowBroadcast(&pre, bc_.value);
-      Tanh(pre, &cache->c[t]);
+    T2VEC_CHECK(x.rows() == batch);
+    for (Matrix* m : {&cache->z[t], &cache->r[t], &cache->c[t],
+                      &cache->rh[t], &cache->h[t]}) {
+      m->Resize(batch, dim);
     }
-
-    // h_raw = (1 - z) ⊙ h_prev + z ⊙ c
-    const Matrix& z = cache->z[t];
-    const Matrix& c = cache->c[t];
-    h_raw.Resize(batch, dim);
-    for (size_t b = 0; b < batch; ++b) {
-      const float* __restrict zv = z.Row(b);
-      const float* __restrict cv = c.Row(b);
-      const float* __restrict hp = h_prev.Row(b);
-      float* __restrict hr = h_raw.Row(b);
-      for (size_t j = 0; j < dim; ++j) {
-        hr[j] = (1.0f - zv[j]) * hp[j] + zv[j] * cv[j];
-      }
-    }
-
-    if (masks.empty()) {
-      cache->h[t] = h_raw;
-    } else {
-      ApplyMask(masks[t], h_raw, h_prev, &cache->h[t]);
-    }
+    Step(x, h_prev, pre,
+         {cache->z[t], cache->r[t], cache->c[t], cache->rh[t]}, cache->h[t]);
+    if (!masks.empty()) ApplyMask(masks[t], h_prev, &cache->h[t]);
   }
 }
 
@@ -412,6 +443,17 @@ void Gru::Backward(const std::vector<Matrix>& xs, const GruState* init,
   }
 
   if (d_xs != nullptr) *d_xs = std::move(d_out_storage);
+}
+
+void Gru::ForwardPacked(const std::vector<size_t>& batch_sizes,
+                        const PackedStepInput& input, Matrix* final_h) const {
+  RunPackedLayers(
+      layers(), hidden(), batch_sizes, input,
+      [this](size_t l, ConstMatrixView x, MatrixView h, MatrixView pre,
+             const GruLayer::StepGates& gates) {
+        layers_[l].Step(x, h, pre, gates, h);
+      },
+      final_h);
 }
 
 ParamList Gru::Params() {

@@ -2,6 +2,7 @@
 #define T2VEC_NN_GRU_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,10 +17,18 @@
 /// Conventions:
 ///  - Sequences are batch-major per step: the input is a vector of T matrices,
 ///    each B x in_dim (step t holds the t-th token of every sequence).
-///  - Variable lengths are handled with per-step masks (B floats, 1 = active):
-///    at a masked-out step the hidden state is carried through unchanged, so
-///    the state at the last step is each sequence's state at its own final
-///    valid token. This mirrors packed sequences in mainstream frameworks.
+///  - Training (`Forward`/`Backward`) handles variable lengths with per-step
+///    masks (B floats, 1 = active): at a masked-out step the hidden state is
+///    carried through unchanged, so the state at the last step is each
+///    sequence's state at its own final valid token, and the per-step
+///    activations are cached for BPTT.
+///  - Inference (`ForwardPacked`) uses the packed layout of PyTorch's
+///    `pack_padded_sequence` instead: rows sorted longest first, and at step
+///    t only the prefix of rows still active is computed. No masks, no
+///    padding rows and no per-step cache — one running h per layer.
+///  - Both run the same per-step gate math, `GruLayer::Step`, and every
+///    floating-point chain in it is row-local, so a row gets the same bits
+///    whichever other rows share its batch.
 ///  - Gate equations (Cho et al. 2014):
 ///        z = σ(x·Wz + h⁻·Uz + bz)          update gate
 ///        r = σ(x·Wr + h⁻·Ur + br)          reset gate
@@ -46,6 +55,23 @@ class GruLayer {
  public:
   /// Creates a layer with Xavier-initialized weights.
   GruLayer(const std::string& name, size_t in_dim, size_t hidden, Rng& rng);
+
+  /// Gate activations of one step, each B x H.
+  struct StepGates {
+    MatrixView z;   ///< update gate
+    MatrixView r;   ///< reset gate
+    MatrixView c;   ///< candidate state
+    MatrixView rh;  ///< r ⊙ h⁻ (input to the Uc product)
+  };
+
+  /// One step of the gate math over the B rows of `x` (B x in_dim) from
+  /// `h_prev` (B x H): fills `gates` and writes h = (1 − z) ⊙ h⁻ + z ⊙ c to
+  /// `h`, which may alias `h_prev`. `pre` is B x 3H scratch. Row b of every
+  /// output depends only on row b of the inputs (nn/matrix.h), so stepping a
+  /// prefix of a batch's rows gives those rows the same bits as stepping all
+  /// of them.
+  void Step(ConstMatrixView x, ConstMatrixView h_prev, MatrixView pre,
+            const StepGates& gates, MatrixView h) const;
 
   /// Runs the layer over the sequence `xs` ([T] of B x in_dim) starting from
   /// `h0` (B x H). `masks[t]` has B entries in {0,1}; pass an empty vector for
@@ -120,6 +146,34 @@ class GruLayer {
   mutable std::unique_ptr<PackCache> packs_;
 };
 
+/// h = (1 − z) ⊙ h⁻ + z ⊙ c, the state update closing every GRU step (fp32
+/// and int8 alike). `h` may alias `h_prev`.
+void GruStateUpdate(ConstMatrixView z, ConstMatrixView c,
+                    ConstMatrixView h_prev, MatrixView h);
+
+/// Fills `x` with the inputs of packed step t: one row per active sequence,
+/// in packed row order.
+using PackedStepInput = std::function<void(size_t t, Matrix* x)>;
+
+/// Advances layer `l` one step over the active rows: `x` is its input, `h`
+/// its running state (updated in place); `pre` and `gates` are scratch of
+/// the same row count (GruLayer::Step).
+using PackedLayerStep =
+    std::function<void(size_t l, ConstMatrixView x, MatrixView h,
+                       MatrixView pre, const GruLayer::StepGates& gates)>;
+
+/// The step-major loop behind Gru::ForwardPacked and
+/// QuantizedGru::ForwardPacked, from zero initial states. At step t it
+/// fetches the batch_sizes[t] active rows' inputs and runs `step` for every
+/// layer over that row prefix, feeding each layer's new state to the next.
+/// Rows past the prefix keep the state of their own last step, so
+/// `final_h` (batch_sizes[0] x hidden) ends up holding each row's top-layer
+/// state after its last token.
+void RunPackedLayers(size_t layers, size_t hidden,
+                     const std::vector<size_t>& batch_sizes,
+                     const PackedStepInput& input, const PackedLayerStep& step,
+                     Matrix* final_h);
+
 /// Per-layer hidden states (the seq2seq handoff between encoder and decoder).
 struct GruState {
   std::vector<Matrix> h;  ///< one B x H matrix per layer
@@ -151,6 +205,17 @@ class Gru {
   void Forward(const std::vector<Matrix>& xs, const GruState* init,
                const std::vector<std::vector<float>>& masks,
                ForwardResult* result) const;
+
+  /// Inference-only packed forward from zero initial states, in the layout
+  /// of PyTorch's pack_padded_sequence: rows are sorted by length, longest
+  /// first, and `batch_sizes[t]` (non-increasing, at least 1) counts the
+  /// leading rows still active at step t; `input` supplies each step's
+  /// active rows. Keeps one running h per layer and no per-step cache.
+  /// Writes each row's top-layer state after its last step to `final_h`
+  /// (batch_sizes[0] x H); row b has the same bits as a one-row forward of
+  /// its sequence alone, at any thread count.
+  void ForwardPacked(const std::vector<size_t>& batch_sizes,
+                     const PackedStepInput& input, Matrix* final_h) const;
 
   /// Backward through the stack. `d_top` is the gradient on the top layer's
   /// per-step outputs (nullptr = zeros); `d_final` on each layer's final

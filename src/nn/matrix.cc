@@ -201,10 +201,13 @@ void GemmBlocked(const float* a, size_t lda, const float* b, size_t ldb,
     }
     return;
   }
+  // The thread count is read only after the cheap inline checks, so a GEMM
+  // that runs inline touches no global state.
   const double flops = 2.0 * static_cast<double>(m) * k * n;
-  const int threads = GetNumThreads();
-  if (flops < kParallelMinFlops || threads <= 1 || m < 2 * kMR ||
-      ThreadPool::InParallelRegion()) {
+  const bool inline_run = flops < kParallelMinFlops || m < 2 * kMR ||
+                          ThreadPool::InParallelRegion();
+  const int threads = inline_run ? 1 : GetNumThreads();
+  if (threads <= 1) {
     GemmRowRange<kTransA>(ops, a, lda, b, ldb, c, ldc, 0, m, k, n, alpha,
                           beta);
     return;
@@ -322,9 +325,10 @@ void GemmTransBV(ConstMatrixView a, ConstMatrixView b, MatrixView out,
 
   const KernelOps& ops = Kernels();  // Resolve the tier once per GEMM.
   const double flops = 2.0 * static_cast<double>(m) * k * n;
-  const int threads = GetNumThreads();
-  if (flops < kParallelMinFlops || threads <= 1 ||
-      ThreadPool::InParallelRegion()) {
+  const bool inline_run =
+      flops < kParallelMinFlops || ThreadPool::InParallelRegion();
+  const int threads = inline_run ? 1 : GetNumThreads();
+  if (threads <= 1) {
     TransBRange(ops, a.data, a.ld, b.data, b.ld, out.data, out.ld, 0, m, 0, n,
                 k, alpha, beta, segment);
     return;
@@ -426,14 +430,21 @@ void SumRowsInto(const Matrix& grad, Matrix* bias_grad) {
   SumRowsIntoV(grad, bias_grad);
 }
 
+void HadamardV(ConstMatrixView a, ConstMatrixView b, MatrixView out) {
+  T2VEC_CHECK(a.rows == b.rows && a.cols == b.cols);
+  T2VEC_CHECK(a.rows == out.rows && a.cols == out.cols);
+  for (size_t r = 0; r < a.rows; ++r) {
+    const float* __restrict x = a.Row(r);
+    const float* __restrict y = b.Row(r);
+    float* __restrict o = out.Row(r);
+    for (size_t j = 0; j < a.cols; ++j) o[j] = x[j] * y[j];
+  }
+}
+
 void Hadamard(const Matrix& a, const Matrix& b, Matrix* out) {
   T2VEC_CHECK(SameShape(a, b));
   out->Resize(a.rows(), a.cols());
-  const float* __restrict x = a.data();
-  const float* __restrict y = b.data();
-  float* __restrict o = out->data();
-  const size_t n = a.size();
-  for (size_t i = 0; i < n; ++i) o[i] = x[i] * y[i];
+  HadamardV(a, b, *out);
 }
 
 void HadamardAccum(const Matrix& a, const Matrix& b, Matrix* out) {

@@ -179,6 +179,12 @@ inline ConstMatrixView ColBlock(const Matrix& m, size_t c0, size_t cols) {
   return ConstMatrixView(m.data() + c0, m.rows(), cols, m.cols());
 }
 
+/// Columns [c0, c0 + cols) of a view.
+inline MatrixView ColBlock(MatrixView v, size_t c0, size_t cols) {
+  T2VEC_DCHECK(c0 + cols <= v.cols);
+  return MatrixView(v.data + c0, v.rows, cols, v.ld);
+}
+
 /// Rows [r0, r0 + rows) of `m` (contiguous, same leading dimension).
 inline MatrixView RowBlock(Matrix* m, size_t r0, size_t rows) {
   T2VEC_DCHECK(r0 + rows <= m->rows());
@@ -257,6 +263,7 @@ void SumRowsIntoV(ConstMatrixView grad, Matrix* bias_grad);
 
 /// out = a ⊙ b (Hadamard product).
 void Hadamard(const Matrix& a, const Matrix& b, Matrix* out);
+void HadamardV(ConstMatrixView a, ConstMatrixView b, MatrixView out);
 
 /// out += a ⊙ b.
 void HadamardAccum(const Matrix& a, const Matrix& b, Matrix* out);

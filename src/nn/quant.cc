@@ -37,20 +37,6 @@ float QuantizeStrided(const float* x, size_t n, size_t stride, int8_t* q) {
   return scale;
 }
 
-// h_out = m ⊙ h_new + (1 - m) ⊙ h_prev (same as gru.cc's ApplyMask).
-void ApplyMask(const std::vector<float>& mask, const Matrix& h_new,
-               const Matrix& h_prev, Matrix* h_out) {
-  h_out->Resize(h_new.rows(), h_new.cols());
-  const size_t n = h_new.cols();
-  for (size_t b = 0; b < h_new.rows(); ++b) {
-    const float m = mask[b];
-    const float* __restrict hn = h_new.Row(b);
-    const float* __restrict hp = h_prev.Row(b);
-    float* __restrict ho = h_out->Row(b);
-    for (size_t j = 0; j < n; ++j) ho[j] = m * hn[j] + (1.0f - m) * hp[j];
-  }
-}
-
 }  // namespace
 
 QuantizedMatrix QuantizeTransposed(ConstMatrixView w) {
@@ -124,68 +110,38 @@ QuantizedGruLayer::QuantizedGruLayer(const GruLayer& layer) {
   bc_ = *w.bc;
 }
 
-void QuantizedGruLayer::Forward(const std::vector<Matrix>& xs,
-                                const std::vector<std::vector<float>>& masks,
-                                std::vector<Matrix>* hs) const {
-  const size_t steps = xs.size();
+void QuantizedGruLayer::Step(ConstMatrixView x, MatrixView h, MatrixView pre,
+                             const GruLayer::StepGates& g,
+                             std::vector<int8_t>* q,
+                             std::vector<float>* scales) const {
+  const size_t batch = x.rows;
   const size_t dim = hidden();
-  T2VEC_CHECK(masks.empty() || masks.size() == steps);
-  hs->resize(steps);
-  if (steps == 0) return;
-  const size_t batch = xs[0].rows();
+  T2VEC_CHECK(x.cols == in_dim() && h.rows == batch && h.cols == dim);
 
-  const Matrix h0(batch, dim, 0.0f);
-  Matrix pre3(batch, 3 * dim);
-  Matrix z(batch, dim), r(batch, dim), c(batch, dim), rh(batch, dim);
-  Matrix h_raw(batch, dim);
-  std::vector<int8_t> qbuf;
-  std::vector<float> sbuf;
+  // [pre_c | pre_z | pre_r] = deq(q(x) · qW^T); then the z/r blocks get the
+  // hidden term and the c block the (r ⊙ h⁻) term, mirroring the fused fp32
+  // gate structure in GruLayer::Step.
+  QuantizeRowsDynamic(x, q, scales);
+  QuantizedGemmTransB(q->data(), scales->data(), batch, w_pack_, pre,
+                      /*accumulate=*/false, nullptr);
+  QuantizeRowsDynamic(h, q, scales);
+  QuantizedGemmTransB(q->data(), scales->data(), batch, u_pack_,
+                      ColBlock(pre, dim, 2 * dim), /*accumulate=*/true,
+                      nullptr);
 
-  for (size_t t = 0; t < steps; ++t) {
-    const Matrix& x = xs[t];
-    const Matrix& h_prev = (t == 0) ? h0 : (*hs)[t - 1];
-    T2VEC_CHECK(x.rows() == batch && x.cols() == in_dim());
+  AddRowBroadcastV(ColBlock(pre, dim, dim), bz_);
+  SigmoidV(ColBlock(pre, dim, dim), g.z);
+  AddRowBroadcastV(ColBlock(pre, 2 * dim, dim), br_);
+  SigmoidV(ColBlock(pre, 2 * dim, dim), g.r);
 
-    // [pre_c | pre_z | pre_r] = deq(q(x) · qW^T); then the z/r blocks get
-    // the hidden term and the c block the (r ⊙ h⁻) term, mirroring the
-    // fused fp32 gate structure in GruLayer::Forward.
-    QuantizeRowsDynamic(x, &qbuf, &sbuf);
-    QuantizedGemmTransB(qbuf.data(), sbuf.data(), batch, w_pack_,
-                        MatrixView(pre3), /*accumulate=*/false, nullptr);
-    QuantizeRowsDynamic(h_prev, &qbuf, &sbuf);
-    QuantizedGemmTransB(qbuf.data(), sbuf.data(), batch, u_pack_,
-                        ColBlock(&pre3, dim, 2 * dim), /*accumulate=*/true,
-                        nullptr);
+  HadamardV(g.r, h, g.rh);
+  QuantizeRowsDynamic(g.rh, q, scales);
+  QuantizedGemmTransB(q->data(), scales->data(), batch, uc_,
+                      ColBlock(pre, 0, dim), /*accumulate=*/true, nullptr);
+  AddRowBroadcastV(ColBlock(pre, 0, dim), bc_);
+  TanhV(ColBlock(pre, 0, dim), g.c);
 
-    AddRowBroadcastV(ColBlock(&pre3, dim, dim), bz_);
-    SigmoidV(ColBlock(pre3, dim, dim), MatrixView(z));
-    AddRowBroadcastV(ColBlock(&pre3, 2 * dim, dim), br_);
-    SigmoidV(ColBlock(pre3, 2 * dim, dim), MatrixView(r));
-
-    Hadamard(r, h_prev, &rh);
-    QuantizeRowsDynamic(rh, &qbuf, &sbuf);
-    QuantizedGemmTransB(qbuf.data(), sbuf.data(), batch, uc_,
-                        ColBlock(&pre3, 0, dim), /*accumulate=*/true, nullptr);
-    AddRowBroadcastV(ColBlock(&pre3, 0, dim), bc_);
-    TanhV(ColBlock(pre3, 0, dim), MatrixView(c));
-
-    // h_raw = (1 - z) ⊙ h_prev + z ⊙ c
-    for (size_t b = 0; b < batch; ++b) {
-      const float* __restrict zv = z.Row(b);
-      const float* __restrict cv = c.Row(b);
-      const float* __restrict hp = h_prev.Row(b);
-      float* __restrict hr = h_raw.Row(b);
-      for (size_t j = 0; j < dim; ++j) {
-        hr[j] = (1.0f - zv[j]) * hp[j] + zv[j] * cv[j];
-      }
-    }
-
-    if (masks.empty()) {
-      (*hs)[t] = h_raw;
-    } else {
-      ApplyMask(masks[t], h_raw, h_prev, &(*hs)[t]);
-    }
-  }
+  GruStateUpdate(g.z, g.c, h, h);
 }
 
 QuantizedGru::QuantizedGru(const Gru& gru) {
@@ -195,20 +151,18 @@ QuantizedGru::QuantizedGru(const Gru& gru) {
   }
 }
 
-void QuantizedGru::Forward(const std::vector<Matrix>& xs,
-                           const std::vector<std::vector<float>>& masks,
-                           Matrix* final_h) const {
-  std::vector<Matrix> cur;
-  const std::vector<Matrix>* input = &xs;
-  std::vector<Matrix> next;
-  for (size_t l = 0; l < layers_.size(); ++l) {
-    layers_[l].Forward(*input, masks, &next);
-    cur = std::move(next);
-    next.clear();
-    input = &cur;
-  }
-  T2VEC_CHECK(!cur.empty());
-  *final_h = cur.back();
+void QuantizedGru::ForwardPacked(const std::vector<size_t>& batch_sizes,
+                                 const PackedStepInput& input,
+                                 Matrix* final_h) const {
+  std::vector<int8_t> q;
+  std::vector<float> scales;
+  RunPackedLayers(
+      layers(), hidden(), batch_sizes, input,
+      [&](size_t l, ConstMatrixView x, MatrixView h, MatrixView pre,
+          const GruLayer::StepGates& gates) {
+        layers_[l].Step(x, h, pre, gates, &q, &scales);
+      },
+      final_h);
 }
 
 }  // namespace t2vec::nn

@@ -69,20 +69,21 @@ void QuantizedGemmTransB(const int8_t* qx, const float* sx, size_t m,
                          bool accumulate, const float* bias);
 
 /// One GRU layer running int8 inference with the gate structure of
-/// GruLayer::Forward's fused path ([c|z|r] pre-activations, fp32
-/// sigmoid/tanh, masked state carry). Weights are captured (quantized) at
-/// construction; later optimizer steps on the source layer do NOT refresh
-/// them — rebuild for that.
+/// GruLayer::Step's fused path ([c|z|r] pre-activations, fp32
+/// sigmoid/tanh). Weights are captured (quantized) at construction; later
+/// optimizer steps on the source layer do NOT refresh them — rebuild for
+/// that.
 class QuantizedGruLayer {
  public:
   explicit QuantizedGruLayer(const GruLayer& layer);
 
-  /// Runs the layer over `xs` ([T] of B x in_dim) from zero initial state,
-  /// writing each step's hidden output into hs ([T] of B x H). Masks follow
-  /// the GruLayer::Forward convention.
-  void Forward(const std::vector<Matrix>& xs,
-               const std::vector<std::vector<float>>& masks,
-               std::vector<Matrix>* hs) const;
+  /// One step over the B rows of `x` (B x in_dim), updating the running
+  /// state `h` (B x H) in place; `pre` (B x 3H) and `gates` are scratch,
+  /// `q`/`scales` the reused activation-quantization buffers. Every row's
+  /// chain is row-local, as in GruLayer::Step.
+  void Step(ConstMatrixView x, MatrixView h, MatrixView pre,
+            const GruLayer::StepGates& gates, std::vector<int8_t>* q,
+            std::vector<float>* scales) const;
 
   size_t in_dim() const { return w_pack_.cols; }
   size_t hidden() const { return uc_.rows; }
@@ -99,12 +100,11 @@ class QuantizedGru {
  public:
   explicit QuantizedGru(const Gru& gru);
 
-  /// Runs the stack over `xs` and writes the top layer's final-step hidden
-  /// state (B x H) to `final_h`. With masks, that is each sequence's state
-  /// at its own last valid token, as in Gru::Forward.
-  void Forward(const std::vector<Matrix>& xs,
-               const std::vector<std::vector<float>>& masks,
-               Matrix* final_h) const;
+  /// int8 twin of Gru::ForwardPacked: same packed layout (rows longest
+  /// first, `batch_sizes[t]` active rows at step t), same step-major loop,
+  /// and each row's top-layer state after its last step in `final_h`.
+  void ForwardPacked(const std::vector<size_t>& batch_sizes,
+                     const PackedStepInput& input, Matrix* final_h) const;
 
   size_t layers() const { return layers_.size(); }
   size_t hidden() const { return layers_.front().hidden(); }

@@ -1,6 +1,7 @@
 #include "serve/embedding_service.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "common/macros.h"
@@ -90,21 +91,12 @@ void EmbeddingService::Shutdown() {
 }
 
 std::vector<EmbeddingService::Request> EmbeddingService::TakeBatchLocked() {
-  std::vector<Request> batch;
-  if (queue_.empty()) return batch;
-  const size_t want = queue_.front().tokens.size();
-  batch.reserve(std::min(options_.max_batch, queue_.size()));
-  // One pass, oldest first: take up to max_batch requests whose token
-  // length matches the head's; every other request keeps its place.
-  for (auto it = queue_.begin();
-       it != queue_.end() && batch.size() < options_.max_batch;) {
-    if (it->tokens.size() == want) {
-      batch.push_back(std::move(*it));
-      it = queue_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  // The FIFO head, whatever the token lengths: the packed forward gives
+  // every row EncodeOne's bits in any batch.
+  const size_t take = std::min(options_.max_batch, queue_.size());
+  std::vector<Request> batch(std::make_move_iterator(queue_.begin()),
+                             std::make_move_iterator(queue_.begin() + take));
+  queue_.erase(queue_.begin(), queue_.begin() + take);
   return batch;
 }
 

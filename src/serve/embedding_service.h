@@ -18,11 +18,12 @@
 /// Online embedding service: the paper's encode-once/query-many deployment
 /// shape (Sec. IV-D). A long-lived encoder is fronted by a bounded request
 /// queue; a dispatcher thread coalesces concurrent Submit() calls into
-/// length-bucketed micro-batches and flushes each bucket through the
-/// encoder's padded batch forward on the deterministic thread pool.
+/// micro-batches of the oldest pending requests, whatever their token
+/// lengths, and flushes each through the encoder's packed batch forward
+/// (nn/gru.h `ForwardPacked`).
 ///
-/// Determinism contract (DESIGN.md "Serving"): a micro-batch only ever
-/// contains token sequences of one length, and the encoder's per-row
+/// Determinism contract (DESIGN.md "Serving"): the packed forward computes
+/// each row over its own tokens only, and the encoder's per-row
 /// floating-point chains never cross rows, so the vector returned for a
 /// request is bit-identical to `T2Vec::EncodeOne` on the same trajectory —
 /// at any thread count, any arrival order, and any batch composition.
@@ -46,8 +47,9 @@ struct ServiceOptions {
   /// How long the dispatcher waits for more arrivals after the oldest
   /// pending request, before flushing a partial batch. 0 = flush eagerly.
   std::chrono::microseconds batch_window{1000};
-  /// Thread-count override for the encoder flush (0 = global default).
-  /// Results are bit-identical at any setting (common/thread_pool.h).
+  /// Thread-count override for the encoder flush (0 = global default),
+  /// scoped to the dispatcher thread only. Results are bit-identical at any
+  /// setting (common/thread_pool.h).
   int num_threads = 0;
   /// Encode with the int8 quantized encoder (T2Vec::EncodeQuantized*)
   /// instead of fp32. Faster, with a small measured accuracy cost
@@ -106,8 +108,7 @@ class EmbeddingService {
                                            Clock::time_point deadline,
                                            bool has_deadline);
   void DispatchLoop();
-  /// Pops the oldest request plus up to max_batch - 1 more with the same
-  /// token length (FIFO among equals).
+  /// Pops up to max_batch requests from the queue head (FIFO).
   std::vector<Request> TakeBatchLocked() REQUIRES(mu_);
   /// Encodes `batch` and fulfills its promises (no locks held).
   void Flush(std::vector<Request> batch) EXCLUDES(mu_);

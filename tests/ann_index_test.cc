@@ -121,7 +121,10 @@ TEST_P(AnnIndexConformanceTest, SnapshotRoundTripsThroughBothLoaders) {
   const std::vector<float> data = RandomRows(100, d, 64);
   for (size_t i = 0; i < 100; ++i) index.Add({&data[i * d], d});
 
-  const std::string path = TestDir() + "/conf.idx";
+  // One file per instance: ctest -j runs the exact/lsh/ivf instances as
+  // concurrent processes, which must not share a snapshot path.
+  const std::string path =
+      TestDir() + "/conf_" + IndexKindName(GetParam()) + ".idx";
   ASSERT_TRUE(index.Save(path).ok());
 
   auto loaded = LoadIndex(config, path);
@@ -160,7 +163,8 @@ TEST_P(AnnIndexConformanceTest, CrossKindLoadRebuildsFromRows) {
   AnnIndex& index = *created.value();
   const std::vector<float> data = RandomRows(80, d, 67);
   for (size_t i = 0; i < 80; ++i) index.Add({&data[i * d], d});
-  const std::string path = TestDir() + "/cross.idx";
+  const std::string path =
+      TestDir() + "/cross_" + IndexKindName(GetParam()) + ".idx";
   ASSERT_TRUE(index.Save(path).ok());
 
   for (const IndexKind other : kAllKinds) {

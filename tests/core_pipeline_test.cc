@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 
 #include "common/rng.h"
 #include "core/cell_pretrain.h"
@@ -130,9 +131,11 @@ TEST_F(PipelineTest, EncodeBatchMatchesEncodeOne) {
   const nn::Matrix batch = Model().Encode(trips);
   for (size_t i = 0; i < trips.size(); ++i) {
     const std::vector<float> solo = Model().EncodeOne(trips[i]);
-    for (size_t j = 0; j < solo.size(); ++j) {
-      EXPECT_NEAR(batch.At(i, j), solo[j], 1e-5f);
-    }
+    ASSERT_EQ(solo.size(), batch.cols());
+    EXPECT_EQ(
+        std::memcmp(batch.Row(i), solo.data(), solo.size() * sizeof(float)),
+        0)
+        << "trip " << i;
   }
 }
 

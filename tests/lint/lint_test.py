@@ -27,6 +27,7 @@ EXPECTED = {
     "violation_raw_ofstream.cc": {"raw-ofstream": 10},
     "violation_raw_intrinsics.cc": {"raw-intrinsics": 7},
     "violation_raw_mutex.cc": {"raw-mutex": 11},
+    "violation_raw_thread_count.cc": {"raw-thread-count": 4},
     # Raw string literals are string data: the banned names inside the
     # quoted literals stay quiet, the real sort after one still fires.
     "violation_raw_string.cc": {"raw-sort": 1},

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -196,17 +197,31 @@ TEST(QuantTest, QuantizedGruTracksFp32) {
 
   Gru::ForwardResult fp32;
   gru.Forward(xs, nullptr, masks, &fp32);
+  // The same sequences packed longest first: the short row 2 goes last and
+  // drops out of the final step.
+  const std::vector<size_t> order = {0, 1, 3, 4, 2};
+  std::vector<size_t> batch_sizes(steps, batch);
+  batch_sizes[steps - 1] = batch - 1;
   Matrix qh;
-  qgru.Forward(xs, masks, &qh);
+  qgru.ForwardPacked(
+      batch_sizes,
+      [&](size_t t, Matrix* x) {
+        x->Resize(batch_sizes[t], in_dim);
+        for (size_t b = 0; b < batch_sizes[t]; ++b) {
+          std::memcpy(x->Row(b), xs[t].Row(order[b]), in_dim * sizeof(float));
+        }
+      },
+      &qh);
 
   const Matrix& ref = fp32.final_state.h.back();
   ASSERT_EQ(qh.rows(), ref.rows());
   ASSERT_EQ(qh.cols(), ref.cols());
   double max_err = 0.0;
-  for (size_t i = 0; i < qh.size(); ++i) {
-    max_err = std::max(
-        max_err,
-        static_cast<double>(std::fabs(qh.data()[i] - ref.data()[i])));
+  for (size_t b = 0; b < batch; ++b) {
+    for (size_t j = 0; j < hidden; ++j) {
+      max_err = std::max(max_err, static_cast<double>(std::fabs(
+                                      qh.At(b, j) - ref.At(order[b], j))));
+    }
   }
   // Hidden states live in (-1, 1); int8 symmetric quantization of weights
   // and activations keeps the drift well inside this envelope.
@@ -290,24 +305,28 @@ TEST(QuantTest, QuantizedEncoderTracksFp32Encoder) {
   EXPECT_LT(max_err, 0.1) << "quantized encoder drifted from fp32";
 }
 
-// End to end through the public API: T2Vec::EncodeQuantized (which adds the
-// slice-parallel driver and the lazy weight cache) must be deterministic
-// across thread counts and dispatch tiers, and consistent with the
-// tokenized entry point the serving layer uses.
-TEST(QuantTest, T2VecEncodeQuantizedDeterministic) {
-  const eval::ExperimentData data =
-      eval::MakeData(eval::DatasetKind::kPortoLike, 40, 0);
+// A briefly trained model for the tests that go through the public API.
+core::T2Vec TrainTinyModel(const eval::ExperimentData& data, size_t layers) {
   core::T2VecConfig config;
   config.hidden = 16;
   config.embed_dim = 10;
-  config.layers = 1;
+  config.layers = layers;
   config.max_iterations = 2;
   config.validate_every = 100;
   config.pretrain_epochs = 1;
   config.r1_grid = {0.0};
   config.r2_grid = {0.0};
-  const core::T2Vec model =
-      core::T2Vec::Train(data.train.trajectories(), config);
+  return core::T2Vec::Train(data.train.trajectories(), config);
+}
+
+// End to end through the public API: T2Vec::EncodeQuantized (which adds the
+// slice-parallel loop and the lazy weight cache) must be deterministic
+// across thread counts and dispatch tiers, and consistent with the
+// tokenized entry point the serving layer uses.
+TEST(QuantTest, T2VecEncodeQuantizedDeterministic) {
+  const eval::ExperimentData data =
+      eval::MakeData(eval::DatasetKind::kPortoLike, 40, 0);
+  const core::T2Vec model = TrainTinyModel(data, /*layers=*/1);
   model.PrepareQuantized();
 
   const std::vector<traj::Trajectory>& trips = data.train.trajectories();
@@ -338,6 +357,39 @@ TEST(QuantTest, T2VecEncodeQuantizedDeterministic) {
   EXPECT_EQ(
       std::memcmp(tokenized.data(), ref.data(), ref.size() * sizeof(float)),
       0);
+}
+
+// The packed int8 forward: one mixed-length batch (an empty trip included)
+// gives every row the bits of encoding that trip alone, at every thread
+// count and on every dispatch tier.
+TEST(QuantTest, PackedBatchMatchesOneAtATimeEncodeQuantized) {
+  const eval::ExperimentData data =
+      eval::MakeData(eval::DatasetKind::kPortoLike, 40, 0);
+  const core::T2Vec model = TrainTinyModel(data, /*layers=*/2);
+  std::vector<traj::Trajectory> trips = data.train.trajectories();
+  trips.push_back(traj::Trajectory{});
+  std::vector<size_t> lengths;
+  for (const auto& trip : trips) {
+    lengths.push_back(model.EncoderTokens(trip).size());
+  }
+  std::sort(lengths.begin(), lengths.end());
+  ASSERT_GE(std::unique(lengths.begin(), lengths.end()) - lengths.begin(), 3)
+      << "the batch must mix token lengths";
+
+  const size_t bytes = model.model().hidden() * sizeof(float);
+  for (SimdTier tier : TestableTiers()) {
+    for (int threads : {1, 2, 8}) {
+      ScopedTier scoped_tier(tier);
+      ScopedNumThreads scoped_threads(threads);
+      const Matrix batch = model.EncodeQuantized(trips);
+      for (size_t i = 0; i < trips.size(); ++i) {
+        const Matrix one = model.EncodeQuantized({trips[i]});
+        EXPECT_EQ(std::memcmp(batch.Row(i), one.Row(0), bytes), 0)
+            << "trip " << i << " tier=" << SimdTierName(tier)
+            << " threads=" << threads;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -122,6 +122,50 @@ TEST_F(ServeTest, SubmitBitIdenticalToEncodeOneAcrossThreadCounts) {
   }
 }
 
+// Requests of different token lengths share a micro-batch: every trip
+// submitted inside one window — an empty trajectory and a 1-token trip
+// among them — lands in one packed flush, and every row still carries
+// EncodeOne's bits.
+TEST_F(ServeTest, MixedLengthBatchMatchesEncodeOne) {
+  std::vector<traj::Trajectory> trips = Trips().trajectories();
+  trips.push_back(traj::Trajectory{});
+  traj::Trajectory one_point;
+  one_point.points = {Trips()[0].points.front()};
+  trips.push_back(one_point);
+  ASSERT_EQ(Model().EncoderTokens(trips.back()).size(), 1u);
+  ASSERT_TRUE(Model().EncoderTokens(trips[trips.size() - 2]).empty());
+
+  std::vector<std::vector<float>> expected;
+  for (const traj::Trajectory& trip : trips) {
+    expected.push_back(Model().EncodeOne(trip));
+  }
+
+  for (const int threads : {1, 2, 8}) {
+    SCOPED_TRACE("num_threads=" + std::to_string(threads));
+    ServiceOptions options;
+    options.num_threads = threads;
+    // The batch fills exactly when the last trip arrives; the long window
+    // only bounds a stalled submitter.
+    options.max_batch = trips.size();
+    options.batch_window = std::chrono::seconds(10);
+    EmbeddingService service(&Model(), options);
+    std::vector<std::future<EmbeddingService::EncodeResult>> futures;
+    for (const traj::Trajectory& trip : trips) {
+      futures.push_back(service.Submit(trip));
+    }
+    for (size_t i = 0; i < trips.size(); ++i) {
+      EmbeddingService::EncodeResult result = futures[i].get();
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_TRUE(BitIdentical(result.value(), expected[i])) << "trip " << i;
+    }
+    service.Shutdown();
+    EXPECT_EQ(service.metrics().completed.value(),
+              static_cast<int64_t>(trips.size()));
+    // One flush carried every row, whatever its length.
+    EXPECT_EQ(service.metrics().flushes.value(), 1);
+  }
+}
+
 TEST_F(ServeTest, QueueFullRejectsWithUnavailable) {
   ServiceOptions options;
   options.queue_capacity = 2;

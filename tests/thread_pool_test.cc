@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -92,6 +95,66 @@ TEST(ThreadPoolTest, SetNumThreadsOverridesAndRestores) {
   EXPECT_EQ(GetNumThreads(), 3);
   SetNumThreads(0);
   EXPECT_GE(GetNumThreads(), 1);
+}
+
+// Scoped overrides are per thread: two threads looping overlapping nested
+// scopes each read only their own values, and neither leaks into the
+// process-wide setting however the scopes interleave. SetNumThreads stays
+// process-wide.
+TEST(ThreadPoolTest, ScopedNumThreadsIsThreadLocal) {
+  ThreadCountGuard guard;
+  const int base = GetNumThreads();
+  std::atomic<int> mismatches{0};
+  auto loop_scopes = [&](int outer, int inner) {
+    for (int i = 0; i < 2000; ++i) {
+      const ScopedNumThreads outer_scope(outer);
+      if (GetNumThreads() != outer) ++mismatches;
+      {
+        const ScopedNumThreads inner_scope(inner);
+        if (GetNumThreads() != inner) ++mismatches;
+        const ScopedNumThreads no_op(0);  // n <= 0 leaves the scope alone.
+        if (GetNumThreads() != inner) ++mismatches;
+      }
+      if (GetNumThreads() != outer) ++mismatches;
+    }
+    if (GetNumThreads() != base) ++mismatches;
+  };
+  std::thread a(loop_scopes, 2, 3);
+  std::thread b(loop_scopes, 3, 2);
+  a.join();
+  b.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(GetNumThreads(), base);
+
+  SetNumThreads(5);
+  int seen_by_other_thread = 0;
+  std::thread reader([&] { seen_by_other_thread = GetNumThreads(); });
+  reader.join();
+  EXPECT_EQ(seen_by_other_thread, 5);
+  {
+    const ScopedNumThreads scope(2);
+    EXPECT_EQ(GetNumThreads(), 2);  // The scope wins on its own thread.
+  }
+  EXPECT_EQ(GetNumThreads(), 5);
+}
+
+// The default count is resolved once, at first use: a later change to
+// T2VEC_THREADS is ignored, so hot paths never re-read the environment.
+TEST(ThreadPoolTest, DefaultIgnoresLaterEnvironmentChanges) {
+  ThreadCountGuard guard;
+  SetNumThreads(0);
+  const int resolved = GetNumThreads();
+  const char* prior = std::getenv("T2VEC_THREADS");
+  const std::string saved = prior != nullptr ? prior : "";
+  ASSERT_EQ(::setenv("T2VEC_THREADS", std::to_string(resolved + 3).c_str(),
+                     /*overwrite=*/1),
+            0);
+  EXPECT_EQ(GetNumThreads(), resolved);
+  if (prior != nullptr) {
+    ::setenv("T2VEC_THREADS", saved.c_str(), 1);
+  } else {
+    ::unsetenv("T2VEC_THREADS");
+  }
 }
 
 // --- Bit-identical results across thread counts --------------------------

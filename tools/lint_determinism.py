@@ -71,6 +71,13 @@ at review time, by banning the source patterns that historically break it:
                   DESIGN.md §5.4): only the annotated t2vec::sync wrappers
                   let a Clang build prove at compile time that guarded
                   state is touched with the right lock held.
+  raw-thread-count
+                  std::thread::hardware_concurrency(), get_nprocs() /
+                  get_nprocs_conf() and sysconf(_SC_NPROCESSORS_*) anywhere
+                  except common/thread_pool.cc. The default thread count is
+                  resolved once there, at first use; a probe costs
+                  microseconds, which hot paths that look the count up per
+                  GEMM cannot afford. Read it through GetNumThreads().
   bad-allow       A lint:allow comment with an unknown rule id or no reason.
 
 Escape hatch — on the flagged line or the line directly above it:
@@ -241,6 +248,20 @@ RULES = {
             r"shared_lock|scoped_lock)\b"
         ),
         "exempt": {"src/common/sync.h", "src/common/sync.cc"},
+    },
+    "raw-thread-count": {
+        "description": (
+            "raw CPU-count probe (hardware_concurrency, get_nprocs, "
+            "sysconf(_SC_NPROCESSORS_*)) outside common/thread_pool.cc; the "
+            "default thread count is resolved once there — read it through "
+            "GetNumThreads()"
+        ),
+        "patterns": _c(
+            r"\bhardware_concurrency\s*\(",
+            r"\bget_nprocs(?:_conf)?\s*\(",
+            r"\bsysconf\s*\(\s*_SC_NPROCESSORS\w*",
+        ),
+        "exempt": {"src/common/thread_pool.cc"},
     },
     "bad-allow": {
         "description": (
