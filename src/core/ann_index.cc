@@ -5,12 +5,50 @@
 #include <utility>
 
 #include "common/macros.h"
+#include "common/order.h"
+#include "common/sort.h"
+#include "common/thread_pool.h"
 #include "core/ivf_index.h"
 #include "core/vec_index.h"
 
 namespace t2vec::core {
 
 namespace {
+
+// Positions scored per kernel block: a block's distances stay in L1 while
+// the scan's visitor consumes them.
+constexpr size_t kScoreBlock = 256;
+
+using Scored = std::pair<double, size_t>;
+
+// The k smallest (distance, row) pairs offered so far under NanLastLess,
+// kept as a max-heap whose root is the current k-th best. A row that loses
+// to the root costs one comparison and one that enters costs O(log k);
+// nothing is O(k) per row, because k is client input clamped only to the
+// store size.
+class BoundedTopK {
+ public:
+  explicit BoundedTopK(size_t k) : k_(k) { heap_.reserve(k); }
+
+  void Offer(double distance, size_t row) {
+    const Scored item{distance, row};
+    if (heap_.size() < k_) {
+      heap_.push_back(item);
+      std::push_heap(heap_.begin(), heap_.end(), NanLastLess{});
+    } else if (NanLastLess{}(item, heap_.front())) {
+      std::pop_heap(heap_.begin(), heap_.end(), NanLastLess{});
+      heap_.back() = item;
+      std::push_heap(heap_.begin(), heap_.end(), NanLastLess{});
+    }
+  }
+
+  // The kept pairs, in heap order (not sorted).
+  std::vector<Scored> Take() { return std::move(heap_); }
+
+ private:
+  size_t k_;
+  std::vector<Scored> heap_;
+};
 
 // One shared parse of the standalone snapshot header; both loaders funnel
 // through it so the validation (magic, version, checksum policy, size
@@ -242,6 +280,96 @@ void AnnIndex::CountQuery(size_t candidates) const {
   queries_.fetch_add(1, std::memory_order_relaxed);
   candidates_.fetch_add(static_cast<int64_t>(candidates),
                         std::memory_order_relaxed);
+}
+
+void AnnIndex::ScanRows(std::span<const float> query, size_t n,
+                        const uint32_t* ids, const ScanVisitor& visit) const {
+  T2VEC_CHECK(query.size() == dim());
+  const nn::KernelOps& ops = nn::Kernels();
+  const size_t d = dim();
+  const std::vector<double> q(query.begin(), query.end());
+  const auto scan_chunk = [&](size_t chunk) {
+    const size_t end = std::min(n, (chunk + 1) * kScanChunkRows);
+    double distances[kScoreBlock];
+    for (size_t first = chunk * kScanChunkRows; first < end;
+         first += kScoreBlock) {
+      const size_t count = std::min(kScoreBlock, end - first);
+      if (ids != nullptr) {
+        SqDistRows(
+            ops, q.data(), d, count,
+            [&](size_t i) { return rows_.Row(ids[first + i]); }, distances);
+      } else {
+        SqDistRows(
+            ops, q.data(), d, count,
+            [&](size_t i) { return rows_.Row(first + i); }, distances);
+      }
+      visit(chunk, first, distances, count);
+    }
+  };
+  const size_t chunks = ScanChunks(n);
+  if (n < 2 * kScanChunkRows) {
+    for (size_t chunk = 0; chunk < chunks; ++chunk) scan_chunk(chunk);
+    return;
+  }
+  // Each lane claims the next unscanned chunk until none is left. What a
+  // chunk writes depends only on the chunk, never on the lane that ran it.
+  std::atomic<size_t> next{0};
+  const size_t lanes =
+      std::min(chunks, static_cast<size_t>(GetNumThreads()));
+  ParallelFor(0, lanes, 1, [&](size_t /*lane*/) {
+    for (size_t chunk = next.fetch_add(1, std::memory_order_relaxed);
+         chunk < chunks;
+         chunk = next.fetch_add(1, std::memory_order_relaxed)) {
+      scan_chunk(chunk);
+    }
+  });
+}
+
+KnnResult AnnIndex::ExactTopK(std::span<const float> query, size_t k) const {
+  return TopK(query, k, Size(), nullptr);
+}
+
+KnnResult AnnIndex::ExactTopK(std::span<const float> query, size_t k,
+                              std::span<const uint32_t> candidates) const {
+  return TopK(query, k, candidates.size(), candidates.data());
+}
+
+KnnResult AnnIndex::TopK(std::span<const float> query, size_t k, size_t n,
+                         const uint32_t* ids) const {
+  k = std::min(k, n);
+  if (k == 0) return {};
+  std::vector<BoundedTopK> tops;
+  tops.reserve(ScanChunks(n));
+  for (size_t chunk = 0; chunk < ScanChunks(n); ++chunk) {
+    tops.emplace_back(std::min(k, kScanChunkRows));
+  }
+  ScanRows(query, n, ids,
+           [&](size_t chunk, size_t first, const double* distances,
+               size_t count) {
+             BoundedTopK& top = tops[chunk];
+             for (size_t i = 0; i < count; ++i) {
+               const size_t pos = first + i;
+               top.Offer(distances[i], ids != nullptr ? ids[pos] : pos);
+             }
+           });
+  // Between them the chunks hold the k-prefix of the whole order, and under
+  // a strict total order that prefix is unique, so the merge gives the same
+  // answer at any chunking, thread count or schedule.
+  std::vector<Scored> merged = tops[0].Take();
+  for (size_t chunk = 1; chunk < tops.size(); ++chunk) {
+    const std::vector<Scored> part = tops[chunk].Take();
+    merged.insert(merged.end(), part.begin(), part.end());
+  }
+  TotalOrderPartialSort(merged.begin(), merged.begin() + static_cast<long>(k),
+                        merged.end(), NanLastLess{});
+  KnnResult out;
+  out.ids.reserve(k);
+  out.distances.reserve(k);
+  for (size_t i = 0; i < k; ++i) {
+    out.ids.push_back(merged[i].second);
+    out.distances.push_back(merged[i].first);
+  }
+  return out;
 }
 
 Result<std::unique_ptr<AnnIndex>> CreateIndex(const IndexConfig& config,

@@ -1,8 +1,10 @@
 #ifndef T2VEC_CORE_ANN_INDEX_H_
 #define T2VEC_CORE_ANN_INDEX_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -12,6 +14,7 @@
 #include "common/serialize.h"
 #include "common/status.h"
 #include "dist/knn.h"
+#include "nn/kernels.h"
 
 /// \file
 /// The polymorphic nearest-neighbor index interface (DESIGN.md §4e).
@@ -40,6 +43,13 @@
 /// out of the page cache: the CRC is verified once at open, and the
 /// `RowStore` keeps the mapping alive for as long as any borrowed row may
 /// be dereferenced (see `common/fs.h` MmapFile lifetime rules).
+///
+/// Every backend answers through one exact top-k scan owned by the base
+/// (`ExactTopK`): the exact index over every row, IVF over its probed lists
+/// (or every row before training), LSH over its bucket candidates. Rows are
+/// scored four at a time by the dispatched `sqdist4_f64` kernel, each
+/// `kScanChunkRows`-row chunk keeps its own top-k, and the chunk results
+/// merge on the calling thread (DESIGN.md §4b).
 
 namespace t2vec::core {
 
@@ -52,6 +62,33 @@ using dist::KnnResult;
 /// but no trailer" as a stripped checksum.
 inline constexpr uint32_t kIndexSnapshotMagic = 0x41763274;
 inline constexpr uint32_t kIndexSnapshotVersion = 2;
+
+/// Rows per chunk of an exact scan. A scan of fewer than two chunks' worth
+/// of rows runs inline on the calling thread (waking the pool costs more
+/// than it saves there); a larger one gives the pool more chunks than
+/// lanes, so a lane the OS deschedules holds up one chunk, not a fixed
+/// share of the store.
+inline constexpr size_t kScanChunkRows = 8192;
+
+/// Squared distances from `q`, a query widened to double, to `count` rows
+/// of length `dim`: out[i] equals `sqdist_f64(query, row(i), dim)` bit for
+/// bit. Rows go four per `sqdist4_f64` call; a partial last group repeats
+/// its last row and drops the spare outputs.
+template <typename RowFn>
+void SqDistRows(const nn::KernelOps& ops, const double* q, size_t dim,
+                size_t count, const RowFn& row, double* out) {
+  size_t i = 0;
+  for (; i + 4 <= count; i += 4) {
+    ops.sqdist4_f64(q, row(i), row(i + 1), row(i + 2), row(i + 3), dim,
+                    out + i);
+  }
+  if (i == count) return;
+  const float* last = row(count - 1);
+  double spare[4];
+  ops.sqdist4_f64(q, row(i), i + 1 < count ? row(i + 1) : last,
+                  i + 2 < count ? row(i + 2) : last, last, dim, spare);
+  std::copy(spare, spare + (count - i), out + i);
+}
 
 /// Which nearest-neighbor backend serves queries.
 enum class IndexKind : uint32_t {
@@ -237,7 +274,45 @@ class AnnIndex {
   /// Records one served query that exactly scored `candidates` rows.
   void CountQuery(size_t candidates) const;
 
+  /// The exact k nearest rows to `query` (length dim()), with squared
+  /// Euclidean distances, ascending under NanLastLess; k is clamped to
+  /// Size(). (distance, row) under NanLastLess is a strict total order, so
+  /// the k-prefix is unique and the answer is the same bytes at any
+  /// chunking, thread count or SIMD tier.
+  KnnResult ExactTopK(std::span<const float> query, size_t k) const;
+
+  /// The same over `candidates` only (distinct row ids, in any order); k is
+  /// clamped to candidates.size().
+  KnnResult ExactTopK(std::span<const float> query, size_t k,
+                      std::span<const uint32_t> candidates) const;
+
+  /// Receives one block of a scan: the distances of scan positions
+  /// [first, first + count), which all lie in chunk `chunk`.
+  using ScanVisitor = std::function<void(size_t chunk, size_t first,
+                                         const double* distances,
+                                         size_t count)>;
+
+  /// Scores `n` scan positions against `query`: position p is row `ids[p]`,
+  /// or row p when `ids` is null. The query is widened to double once.
+  /// Positions split into kScanChunkRows-row chunks (ScanChunks(n) of
+  /// them); below 2 * kScanChunkRows positions the scan runs inline,
+  /// otherwise each pool lane claims the next unscanned chunk. Within a chunk, blocks reach `visit`
+  /// in ascending position order. `visit` must write only outputs owned by
+  /// its chunk, which makes the result independent of the schedule.
+  void ScanRows(std::span<const float> query, size_t n, const uint32_t* ids,
+                const ScanVisitor& visit) const;
+
+  /// Number of chunks ScanRows splits `n` positions into.
+  static size_t ScanChunks(size_t n) {
+    return (n + kScanChunkRows - 1) / kScanChunkRows;
+  }
+
  private:
+  /// Both ExactTopK overloads: the k nearest of `n` scan positions (see
+  /// ScanRows for `ids`).
+  KnnResult TopK(std::span<const float> query, size_t k, size_t n,
+                 const uint32_t* ids) const;
+
   RowStore rows_;
   // Not mutex-guarded (DESIGN.md §5.4): relaxed atomic counters keep
   // concurrent Query diagnostics race-free, and no cross-field ordering is

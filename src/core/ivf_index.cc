@@ -16,11 +16,9 @@ namespace t2vec::core {
 
 namespace {
 
-// Parallel grain sizes: assignment items cost nlist distance kernels each,
-// scan items one — both chosen so a few-thousand-item loop still splits
-// across cores while amortizing dispatch.
+// Lloyd assignment grain: each item scores every centroid, so a
+// few-thousand-row training set still splits across cores.
 constexpr size_t kAssignGrain = 16;
-constexpr size_t kScanGrain = 256;
 
 }  // namespace
 
@@ -42,17 +40,25 @@ void IvfIndex::set_nprobe(size_t nprobe) {
   nprobe_ = nprobe;
 }
 
-size_t IvfIndex::NearestCentroid(const float* vec) const {
+std::vector<double> IvfIndex::CentroidDistances(const float* vec) const {
   const size_t d = dim();
-  const nn::KernelOps& ops = nn::Kernels();
+  const std::vector<double> q(vec, vec + d);
+  std::vector<double> dist(nlist_);
+  SqDistRows(
+      nn::Kernels(), q.data(), d, nlist_,
+      [&](size_t c) { return &centroids_[c * d]; }, dist.data());
+  return dist;
+}
+
+size_t IvfIndex::NearestCentroid(const float* vec) const {
+  const std::vector<double> dist = CentroidDistances(vec);
   size_t best = 0;
   double best_dist = std::numeric_limits<double>::infinity();
   for (size_t c = 0; c < nlist_; ++c) {
-    const double dist = ops.sqdist_f64(vec, &centroids_[c * d], d);
     // Strict < keeps ties on the lower centroid index; a NaN distance never
     // wins, so an all-NaN row deterministically lands in list 0.
-    if (dist < best_dist) {
-      best_dist = dist;
+    if (dist[c] < best_dist) {
+      best_dist = dist[c];
       best = c;
     }
   }
@@ -135,82 +141,38 @@ void IvfIndex::Train() {
   trained_ = true;
 }
 
-KnnResult IvfIndex::ExactQuery(std::span<const float> query, size_t k) const {
-  k = std::min(k, Size());
-  if (k == 0) return {};
-  const size_t d = dim();
-  const nn::KernelOps& ops = nn::Kernels();
-  std::vector<std::pair<double, size_t>> scored(Size());
-  const float* q = query.data();
-  ParallelFor(0, Size(), kScanGrain, [&](size_t i) {
-    scored[i] = {ops.sqdist_f64(q, rows().Row(i), d), i};
-  });
-  TotalOrderPartialSort(scored.begin(), scored.begin() + static_cast<long>(k),
-                        scored.end(), NanLastLess{});
-  KnnResult out;
-  out.ids.reserve(k);
-  out.distances.reserve(k);
-  for (size_t i = 0; i < k; ++i) {
-    out.ids.push_back(scored[i].second);
-    out.distances.push_back(scored[i].first);
-  }
-  return out;
-}
-
 KnnResult IvfIndex::Query(std::span<const float> query, size_t k) const {
   T2VEC_CHECK(query.size() == dim());
   if (!trained_) {
     // Pre-training a small store answers exactly (identical to
     // VectorIndex), so approximation only ever trades recall at scale.
     CountQuery(Size());
-    return ExactQuery(query, k);
+    return ExactTopK(query, k);
   }
   // Same clamp as every index: over-asking degrades, never aborts.
   k = std::min(k, Size());
   if (k == 0) return {};
 
-  const size_t d = dim();
-  const nn::KernelOps& ops = nn::Kernels();
-  const float* q = query.data();
-
   // Rank every centroid, then probe lists in that order. The full sort
   // (not a partial one) keeps the widening step below deterministic: the
   // (nprobe+1)-th list is already decided.
+  const std::vector<double> dist = CentroidDistances(query.data());
   std::vector<std::pair<double, size_t>> cdist(nlist_);
-  ParallelFor(0, nlist_, kAssignGrain, [&](size_t c) {
-    cdist[c] = {ops.sqdist_f64(q, &centroids_[c * d], d), c};
-  });
+  for (size_t c = 0; c < nlist_; ++c) cdist[c] = {dist[c], c};
   DeterministicSort(cdist.begin(), cdist.end(), NanLastLess{});
 
   // Probe the nprobe nearest lists, widening deterministically to further
   // lists until k candidates surfaced (inverted lists are disjoint, so no
-  // dedup is needed and indices stay unique for the total-order sort).
-  std::vector<size_t> candidates;
+  // dedup is needed and the candidate rows stay distinct).
+  std::vector<uint32_t> candidates;
   size_t probed = 0;
   for (const auto& [cd, c] : cdist) {
     if (probed >= nprobe_ && candidates.size() >= k) break;
-    for (const uint32_t row : lists_[c]) candidates.push_back(row);
+    candidates.insert(candidates.end(), lists_[c].begin(), lists_[c].end());
     ++probed;
   }
   CountQuery(candidates.size());
-
-  k = std::min(k, candidates.size());
-  if (k == 0) return {};
-  std::vector<std::pair<double, size_t>> scored(candidates.size());
-  ParallelFor(0, candidates.size(), kScanGrain, [&](size_t i) {
-    const size_t row = candidates[i];
-    scored[i] = {ops.sqdist_f64(q, rows().Row(row), d), row};
-  });
-  TotalOrderPartialSort(scored.begin(), scored.begin() + static_cast<long>(k),
-                        scored.end(), NanLastLess{});
-  KnnResult out;
-  out.ids.reserve(k);
-  out.distances.reserve(k);
-  for (size_t i = 0; i < k; ++i) {
-    out.ids.push_back(scored[i].second);
-    out.distances.push_back(scored[i].first);
-  }
-  return out;
+  return ExactTopK(query, k, candidates);
 }
 
 void IvfIndex::SaveAux(BinaryWriter* writer) const {

@@ -23,16 +23,17 @@
 /// `common/rng.h` shuffle; Lloyd assignment parallelizes with disjoint
 /// writes and breaks ties toward the lower centroid index, centroid updates
 /// accumulate serially in ascending row order in double precision, and all
-/// distances route through the dispatched `nn/kernels.h` `sqdist_f64` —
-/// so the index is bit-identical at any thread count and on every SIMD
-/// tier. Because training time is a pure function of the row sequence,
-/// build-once, Add-one-at-a-time, and snapshot-replay construction all
-/// execute the same training call at the same point: grown ≡ built by
-/// construction, not by test luck.
+/// distances route through the dispatched `nn/kernels.h` `sqdist4_f64`
+/// (the same bits as `sqdist_f64`), so the index is bit-identical at any
+/// thread count and on every SIMD tier. Because training time is a pure
+/// function of the row sequence, build-once, Add-one-at-a-time, and
+/// snapshot-replay construction all execute the same training call at the
+/// same point: grown ≡ built by construction, not by test luck.
 ///
-/// Before training, queries fall back to an exact scan identical to
-/// `VectorIndex` — a small store answers exactly; the quantizer only kicks
-/// in once there is enough data to train it.
+/// Before training, queries run the base's exact scan over every row, the
+/// same one `VectorIndex` runs: a small store answers exactly, and the
+/// quantizer only kicks in once there is enough data to train it. After
+/// training the same scan ranks the probed lists' rows.
 
 namespace t2vec::core {
 
@@ -77,12 +78,13 @@ class IvfIndex : public AnnIndex {
   /// assigned by their own OnAppend).
   void Train();
 
+  /// Squared distances from `vec` to every centroid, scored four
+  /// centroids per sqdist4_f64 call.
+  std::vector<double> CentroidDistances(const float* vec) const;
+
   /// Index of the nearest centroid (squared Euclidean; ties and NaN rows
   /// resolve to the lowest centroid index).
   size_t NearestCentroid(const float* vec) const;
-
-  /// Exact linear scan used before training (mirrors VectorIndex::Query).
-  KnnResult ExactQuery(std::span<const float> query, size_t k) const;
 
   size_t nlist_;
   size_t nprobe_;

@@ -1,24 +1,15 @@
 #include "core/vec_index.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "common/macros.h"
-#include "common/order.h"
 #include "common/rng.h"
 #include "common/sort.h"
-#include "common/thread_pool.h"
 #include "nn/kernels.h"
 
 namespace t2vec::core {
-
-namespace {
-
-// Chunk size for parallel per-row distance scans: small enough to split a
-// few-thousand-row database across cores, large enough to amortize dispatch.
-constexpr size_t kScanGrain = 256;
-
-}  // namespace
 
 VectorIndex::VectorIndex(size_t dim) : AnnIndex(dim) {}
 
@@ -37,43 +28,29 @@ double VectorIndex::Distance(const float* query, size_t i) const {
 
 KnnResult VectorIndex::Query(std::span<const float> query, size_t k) const {
   T2VEC_CHECK(query.size() == dim());
-  // k is a request parameter, not an invariant: a served query may ask for
-  // more neighbors than the store holds (or hit an empty store), and that
-  // must degrade to a shorter answer, never abort the process.
-  k = std::min(k, Size());
+  // k is a request parameter, not an invariant: ExactTopK clamps it, so
+  // asking for more neighbors than the store holds (or querying an empty
+  // store) degrades to a shorter answer and never aborts the process.
   CountQuery(Size());
-  if (k == 0) return {};
-  // Each iteration writes only scored[i], so the parallel fill is
-  // bit-identical to the serial one; the sort stays serial.
-  std::vector<std::pair<double, size_t>> scored(Size());
-  const float* q = query.data();
-  ParallelFor(0, Size(), kScanGrain, [&](size_t i) {
-    scored[i] = {Distance(q, i), i};
-  });
-  // NanLastLess over distinct row indices is a strict total order.
-  TotalOrderPartialSort(scored.begin(), scored.begin() + static_cast<long>(k),
-                        scored.end(), NanLastLess{});
-  KnnResult out;
-  out.ids.reserve(k);
-  out.distances.reserve(k);
-  for (size_t i = 0; i < k; ++i) {
-    out.ids.push_back(scored[i].second);
-    out.distances.push_back(scored[i].first);
-  }
-  return out;
+  return ExactTopK(query, k);
 }
 
 size_t VectorIndex::RankOf(const float* query, size_t target) const {
   T2VEC_CHECK(target < Size());
   const double target_dist = Distance(query, target);
-  std::vector<double> dists(Size());
-  ParallelFor(0, Size(), kScanGrain,
-              [&](size_t i) { dists[i] = Distance(query, i); });
-  size_t closer = 0;
-  for (size_t i = 0; i < Size(); ++i) {
-    if (i != target && dists[i] < target_dist) ++closer;
-  }
-  return closer + 1;
+  // Strictly-closer rows counted per chunk; integer counts sum the same in
+  // any order.
+  std::vector<size_t> closer(ScanChunks(Size()), 0);
+  ScanRows({query, dim()}, Size(), nullptr,
+           [&](size_t chunk, size_t first, const double* distances,
+               size_t count) {
+             size_t n = 0;
+             for (size_t i = 0; i < count; ++i) {
+               if (first + i != target && distances[i] < target_dist) ++n;
+             }
+             closer[chunk] += n;
+           });
+  return std::accumulate(closer.begin(), closer.end(), size_t{1});
 }
 
 LshIndex::LshIndex(size_t dim, int num_tables, int num_bits, uint64_t seed)
@@ -128,7 +105,7 @@ KnnResult LshIndex::Query(std::span<const float> query, size_t k) const {
   k = std::min(k, Size());
   if (k == 0) return {};
   std::vector<uint8_t> seen(Size(), 0);
-  std::vector<size_t> candidates;
+  std::vector<uint32_t> candidates;
 
   auto gather = [&](int table, uint32_t sig) {
     auto it = tables_[static_cast<size_t>(table)].find(sig);
@@ -150,31 +127,12 @@ KnnResult LshIndex::Query(std::span<const float> query, size_t k) const {
 
   if (candidates.size() < k) {
     // Recall fallback: widen to a full scan.
-    candidates.resize(Size());
-    for (size_t i = 0; i < candidates.size(); ++i) candidates[i] = i;
+    CountQuery(Size());
+    return ExactTopK(query, k);
   }
+  // Exact re-ranking of the deduplicated candidate set.
   CountQuery(candidates.size());
-
-  // Exact re-ranking of the candidate set (same dispatched squared-distance
-  // kernel as VectorIndex::Distance).
-  const size_t d = dim();
-  const nn::KernelOps& ops = nn::Kernels();
-  std::vector<std::pair<double, size_t>> scored(candidates.size());
-  ParallelFor(0, candidates.size(), kScanGrain, [&](size_t c) {
-    const size_t idx = candidates[c];
-    scored[c] = {ops.sqdist_f64(query.data(), rows().Row(idx), d), idx};
-  });
-  // Candidates are deduplicated, so NanLastLess is a strict total order.
-  TotalOrderPartialSort(scored.begin(), scored.begin() + static_cast<long>(k),
-                        scored.end(), NanLastLess{});
-  KnnResult out;
-  out.ids.reserve(k);
-  out.distances.reserve(k);
-  for (size_t i = 0; i < k; ++i) {
-    out.ids.push_back(scored[i].second);
-    out.distances.push_back(scored[i].first);
-  }
-  return out;
+  return ExactTopK(query, k, candidates);
 }
 
 void LshIndex::SaveAux(BinaryWriter* writer) const {

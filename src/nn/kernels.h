@@ -60,6 +60,15 @@ struct KernelOps {
   /// reduction shape as sqnorm.
   double (*sqdist_f64)(const float* x, const float* y, size_t n);
 
+  /// Four sqdist_f64 calls that share one query: out[t] = sqdist_f64(x,
+  /// r_t, n) bit for bit, where `q` is x already widened to double (the
+  /// scans widen it once per query, not once per row). The rows are
+  /// separate pointers because a group of four may straddle two storage
+  /// blocks (an index's borrowed mmap prefix and its owned tail).
+  void (*sqdist4_f64)(const double* q, const float* r0, const float* r1,
+                      const float* r2, const float* r3, size_t n,
+                      double* out);
+
   /// Exact int8 x int8 -> int32 dot product (no saturation at any width).
   int32_t (*dot_i8)(const int8_t* x, const int8_t* y, size_t k);
 };

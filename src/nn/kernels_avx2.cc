@@ -198,6 +198,51 @@ double SqDistAvx2(const float* __restrict x, const float* __restrict y,
   return CombineF64(lo, hi, acc);
 }
 
+// One 8-element step of a SqDistAvx2 chain against a pre-widened query.
+inline void SqDistStep(__m256d qlo, __m256d qhi, const float* r, __m256d& lo,
+                       __m256d& hi) {
+  const __m256d dlo = _mm256_sub_pd(qlo, _mm256_cvtps_pd(_mm_loadu_ps(r)));
+  const __m256d dhi =
+      _mm256_sub_pd(qhi, _mm256_cvtps_pd(_mm_loadu_ps(r + 4)));
+  lo = _mm256_fmadd_pd(dlo, dlo, lo);
+  hi = _mm256_fmadd_pd(dhi, dhi, hi);
+}
+
+// In-order fma tail of one row, as in SqDistAvx2.
+inline double SqDistTail(const double* q, const float* r, size_t i, size_t n) {
+  double acc = 0.0;
+  for (; i < n; ++i) {
+    const double d = q[i] - static_cast<double>(r[i]);
+    acc = std::fma(d, d, acc);
+  }
+  return acc;
+}
+
+void SqDist4Avx2(const double* __restrict q, const float* __restrict r0,
+                 const float* __restrict r1, const float* __restrict r2,
+                 const float* __restrict r3, size_t n,
+                 double* __restrict out) {
+  // Per row, the same two-accumulator chain as SqDistAvx2; the query is
+  // loaded once per step for all four rows instead of converted per row.
+  __m256d lo0 = _mm256_setzero_pd(), hi0 = _mm256_setzero_pd();
+  __m256d lo1 = _mm256_setzero_pd(), hi1 = _mm256_setzero_pd();
+  __m256d lo2 = _mm256_setzero_pd(), hi2 = _mm256_setzero_pd();
+  __m256d lo3 = _mm256_setzero_pd(), hi3 = _mm256_setzero_pd();
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256d qlo = _mm256_loadu_pd(q + i);
+    const __m256d qhi = _mm256_loadu_pd(q + i + 4);
+    SqDistStep(qlo, qhi, r0 + i, lo0, hi0);
+    SqDistStep(qlo, qhi, r1 + i, lo1, hi1);
+    SqDistStep(qlo, qhi, r2 + i, lo2, hi2);
+    SqDistStep(qlo, qhi, r3 + i, lo3, hi3);
+  }
+  out[0] = CombineF64(lo0, hi0, SqDistTail(q, r0, i, n));
+  out[1] = CombineF64(lo1, hi1, SqDistTail(q, r1, i, n));
+  out[2] = CombineF64(lo2, hi2, SqDistTail(q, r2, i, n));
+  out[3] = CombineF64(lo3, hi3, SqDistTail(q, r3, i, n));
+}
+
 int32_t DotI8Avx2(const int8_t* __restrict x, const int8_t* __restrict y,
                   size_t k) {
   // Sign-extend to int16 and use vpmaddwd: products and adjacent-pair sums
@@ -224,8 +269,8 @@ int32_t DotI8Avx2(const int8_t* __restrict x, const int8_t* __restrict y,
 }
 
 constexpr KernelOps kAvx2Ops = {
-    "avx2",     DotAvx2,    Dot4Avx2,   Tile8x32Avx2,
-    SqNormAvx2, DotF64Avx2, SqDistAvx2, DotI8Avx2,
+    "avx2",     DotAvx2,    Dot4Avx2,   Tile8x32Avx2, SqNormAvx2,
+    DotF64Avx2, SqDistAvx2, SqDist4Avx2, DotI8Avx2,
 };
 
 }  // namespace

@@ -138,6 +138,35 @@ double SqDistScalar(const float* __restrict x, const float* __restrict y,
          ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
 }
 
+// Four SqDistScalar reductions sharing one pre-widened query: per row the
+// lanes, the in-order tail and the pairwise combine are SqDistScalar's.
+void SqDist4Scalar(const double* __restrict q, const float* __restrict r0,
+                   const float* __restrict r1, const float* __restrict r2,
+                   const float* __restrict r3, size_t n,
+                   double* __restrict out) {
+  const float* rows[4] = {r0, r1, r2, r3};
+  double lanes[4][kLanes] = {};
+  size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    for (size_t t = 0; t < 4; ++t) {
+      for (size_t l = 0; l < kLanes; ++l) {
+        const double d = q[i + l] - static_cast<double>(rows[t][i + l]);
+        lanes[t][l] = std::fma(d, d, lanes[t][l]);
+      }
+    }
+  }
+  for (size_t t = 0; t < 4; ++t) {
+    double acc = 0.0;
+    for (size_t j = i; j < n; ++j) {
+      const double d = q[j] - static_cast<double>(rows[t][j]);
+      acc = std::fma(d, d, acc);
+    }
+    const double* l = lanes[t];
+    out[t] = acc + ((l[0] + l[1]) + (l[2] + l[3])) +
+             ((l[4] + l[5]) + (l[6] + l[7]));
+  }
+}
+
 int32_t DotI8Scalar(const int8_t* __restrict x, const int8_t* __restrict y,
                     size_t k) {
   int32_t acc = 0;
@@ -148,8 +177,9 @@ int32_t DotI8Scalar(const int8_t* __restrict x, const int8_t* __restrict y,
 }
 
 constexpr KernelOps kScalarOps = {
-    "scalar",     DotScalar,    Dot4Scalar,   Tile8x32Scalar,
-    SqNormScalar, DotF64Scalar, SqDistScalar, DotI8Scalar,
+    "scalar",      DotScalar,    Dot4Scalar,    Tile8x32Scalar,
+    SqNormScalar,  DotF64Scalar, SqDistScalar,  SqDist4Scalar,
+    DotI8Scalar,
 };
 
 }  // namespace

@@ -3,7 +3,9 @@
 // The same contract checks run against exact, LSH, and IVF indexes built
 // through CreateIndex — the factory every serving path uses — so a new
 // backend cannot land without honoring the clamp, snapshot, restore, and
-// stats semantics the serving layer depends on.
+// stats semantics the serving layer depends on. The shared exact scan is
+// also checked over a store whose rows are split between an mmap'd prefix
+// and an owned tail.
 
 #include <gtest/gtest.h>
 
@@ -12,9 +14,12 @@
 #include <string>
 #include <vector>
 
+#include "common/cpu.h"
 #include "common/fs.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/ann_index.h"
+#include "serve/embedding_store.h"
 
 namespace t2vec::core {
 namespace {
@@ -179,6 +184,55 @@ TEST_P(AnnIndexConformanceTest, CrossKindLoadRebuildsFromRows) {
   }
 }
 
+TEST_P(AnnIndexConformanceTest, AnswersBitIdenticalAcrossThreadsAndTiers) {
+  // Every backend ranks through the shared chunked scan. Over two chunks
+  // of rows, k = 10 and k = Size() exercise the candidate path and the
+  // pooled full scan (IVF widens to every list, LSH falls back); the ids
+  // and distance bits must match the scalar, one-thread answers on every
+  // tier at 1, 2, 3 and 8 threads.
+  const size_t d = 8, n = 2 * kScanChunkRows + 1234;
+  const IndexConfig config = ConfigFor(GetParam());
+  auto created = CreateIndex(config, d);
+  ASSERT_TRUE(created.ok());
+  AnnIndex& index = *created.value();
+  const std::vector<float> data = RandomRows(n, d, 73);
+  for (size_t i = 0; i < n; ++i) index.Add({&data[i * d], d});
+  const std::vector<float> probes = RandomRows(3, d, 74);
+  auto answers = [&] {
+    std::string bytes;
+    for (size_t q = 0; q < 3; ++q) {
+      for (const size_t k : {size_t{10}, n}) {
+        const KnnResult r = index.Query({&probes[q * d], d}, k);
+        bytes.append(reinterpret_cast<const char*>(r.ids.data()),
+                     r.ids.size() * sizeof(size_t));
+        bytes.append(reinterpret_cast<const char*>(r.distances.data()),
+                     r.distances.size() * sizeof(double));
+      }
+    }
+    return bytes;
+  };
+  const SimdTier prev = ActiveSimdTier();
+  std::string reference;
+  {
+    SetSimdTier(SimdTier::kScalar);
+    ScopedNumThreads one(1);
+    reference = answers();
+  }
+  for (const SimdTier tier : {SimdTier::kScalar, SimdTier::kAvx2}) {
+    if (!SimdTierSupported(tier)) continue;
+    SetSimdTier(tier);
+    for (const int threads : {1, 2, 3, 8}) {
+      ScopedNumThreads guard(threads);
+      const std::string got = answers();
+      ASSERT_EQ(got.size(), reference.size());
+      EXPECT_EQ(std::memcmp(got.data(), reference.data(), got.size()), 0)
+          << "tier " << static_cast<int>(tier) << ", " << threads
+          << " threads";
+    }
+  }
+  SetSimdTier(prev);
+}
+
 TEST_P(AnnIndexConformanceTest, StatsCountQueriesAndCandidates) {
   const size_t d = 8;
   const IndexConfig config = ConfigFor(GetParam());
@@ -243,6 +297,51 @@ TEST(IndexFactoryTest, RejectsInvalidConfigAndZeroDim) {
   bad.ivf_nprobe = 0;
   EXPECT_FALSE(CreateIndex(bad, 8).ok());
   EXPECT_FALSE(CreateIndex(IndexConfig{}, 0).ok());
+}
+
+TEST(ExactScanStorageTest, MmapPrefixAndOwnedTailMatchAllOwnedRows) {
+  // A store opened with LoadMmap serves its rows from the mapping and puts
+  // rows added later in an owned tail, so a four-row kernel group can
+  // straddle the two, as in a served store that keeps ingesting after a
+  // restart. Its answers must match, byte for byte, an all-owned index over
+  // the same rows: on a small store (inline scan) and on one over two
+  // chunks (pool scan), with 1 to 7 appended rows.
+  const size_t d = 12;
+  const std::vector<float> probes = RandomRows(3, d, 72);
+  for (const size_t base : {size_t{2001}, 2 * kScanChunkRows + 1}) {
+    const std::vector<float> data = RandomRows(base + 7, d, 71);
+    serve::EmbeddingStore saved(d);
+    for (size_t r = 0; r < base; ++r) {
+      ASSERT_TRUE(saved.Add(static_cast<int64_t>(r), {&data[r * d], d}).ok());
+    }
+    const std::string path =
+        TestDir() + "/straddle_" + std::to_string(base) + ".store";
+    ASSERT_TRUE(saved.Save(path).ok());
+    auto mapped = serve::EmbeddingStore::LoadMmap(path);
+    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+    serve::EmbeddingStore& store = mapped.value();
+    auto owned = CreateIndex(IndexConfig{}, d);
+    ASSERT_TRUE(owned.ok());
+    for (size_t r = 0; r < base; ++r) owned.value()->Add({&data[r * d], d});
+
+    for (size_t r = base; r < base + 7; ++r) {
+      ASSERT_TRUE(store.Add(static_cast<int64_t>(r), {&data[r * d], d}).ok());
+      owned.value()->Add({&data[r * d], d});
+      for (size_t q = 0; q < 3; ++q) {
+        const std::span<const float> probe(&probes[q * d], d);
+        for (const size_t k : {size_t{10}, store.size()}) {
+          const KnnResult want = owned.value()->Query(probe, k);
+          const KnnResult got = store.index().Query(probe, k);
+          ASSERT_EQ(got.size(), want.size());
+          EXPECT_EQ(got.ids, want.ids) << "base " << base << ", row " << r;
+          EXPECT_EQ(std::memcmp(got.distances.data(), want.distances.data(),
+                                got.size() * sizeof(double)),
+                    0)
+              << "base " << base << ", row " << r;
+        }
+      }
+    }
+  }
 }
 
 TEST(IndexFactoryTest, LoadRejectsNonSnapshotFiles) {

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -148,6 +149,49 @@ TEST(SimdKernelsTest, F64KernelsBitIdentical) {
         << "dot_f64 n=" << n;
     EXPECT_EQ(std::memcmp(&results[4], &results[5], sizeof(double)), 0)
         << "sqdist_f64 n=" << n;
+  }
+}
+
+TEST(SimdKernelsTest, SqDist4MatchesFourSqDistCallsOnEveryTier) {
+  // Every tier's sqdist4_f64 must return, for each of its four rows, the
+  // scalar tier's sqdist_f64 bits. n = 1..67 covers every tail length
+  // several times. Each n scores four finite rows, then four rows holding
+  // a NaN, +inf and -inf, against a finite probe and probes holding one
+  // NaN or infinity. No row mixes a propagated NaN with an inf - inf NaN,
+  // whose payloads differ, so the bits are well defined.
+  const float kNaN = std::numeric_limits<float>::quiet_NaN();
+  const float kInf = std::numeric_limits<float>::infinity();
+  const KernelOps& ref = KernelsFor(SimdTier::kScalar);
+  std::vector<const KernelOps*> tiers = {&ref};
+  if (HaveAvx2()) tiers.push_back(&KernelsFor(SimdTier::kAvx2));
+  Rng rng(14);
+  for (size_t n = 1; n <= 67; ++n) {
+    std::vector<std::vector<float>> rows;
+    for (size_t t = 0; t < 8; ++t) rows.push_back(RandomVec(n, rng));
+    rows[5][n / 2] = kNaN;
+    rows[6][n - 1] = kInf;
+    rows[7][0] = -kInf;
+    std::vector<std::vector<float>> probes(4, RandomVec(n, rng));
+    probes[1][n - 1] = kNaN;
+    probes[2][n / 2] = kInf;
+    probes[3][n - 1] = -kInf;
+    for (const std::vector<float>& x : probes) {
+      const std::vector<double> q(x.begin(), x.end());
+      for (size_t g = 0; g < 8; g += 4) {
+        double want[4];
+        for (size_t t = 0; t < 4; ++t) {
+          want[t] = ref.sqdist_f64(x.data(), rows[g + t].data(), n);
+        }
+        for (const KernelOps* ops : tiers) {
+          double got[4];
+          ops->sqdist4_f64(q.data(), rows[g].data(), rows[g + 1].data(),
+                           rows[g + 2].data(), rows[g + 3].data(), n, got);
+          EXPECT_EQ(std::memcmp(got, want, sizeof(got)), 0)
+              << ops->name << " sqdist4_f64 n=" << n << " rows " << g
+              << ".." << g + 3;
+        }
+      }
+    }
   }
 }
 

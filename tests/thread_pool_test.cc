@@ -3,19 +3,23 @@
 // callers (the interesting cases under TSan — this binary is the designated
 // thread-pool exercise when configured with -DT2VEC_SANITIZE=thread), and
 // the headline guarantee: Encode, VectorIndex::Query, dist::KnnQuery, and
-// trajectory generation produce bit-identical results at 1, 2, and 8
+// trajectory generation produce bit-identical results at 1, 2, 3 and 8
 // threads.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/t2vec.h"
 #include "core/vec_index.h"
@@ -195,7 +199,7 @@ class DeterminismTest : public ::testing::Test {
     ThreadCountGuard guard;
     SetNumThreads(1);
     const auto serial = fn();
-    for (int threads : {2, 8}) {
+    for (int threads : {2, 3, 8}) {
       SetNumThreads(threads);
       const auto parallel = fn();
       ASSERT_EQ(serial, parallel) << "at " << threads << " threads";
@@ -220,15 +224,46 @@ TEST_F(DeterminismTest, EncodeIsBitIdentical) {
 }
 
 TEST_F(DeterminismTest, VectorIndexKnnAndRankAreBitIdentical) {
-  const nn::Matrix vecs = Model().Encode(Trips().trajectories());
+  // The encoded trips, padded with uniform rows to a little over three scan
+  // chunks, so the chunk-local top-k and its merge run at every thread
+  // count. NaN rows sit on both sides of the first chunk boundary.
+  const nn::Matrix encoded = Model().Encode(Trips().trajectories());
+  const size_t d = encoded.cols();
+  const size_t n = 3 * core::kScanChunkRows + 777;
+  nn::Matrix vecs(n, d);
+  Rng rng(29);
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t j = 0; j < d; ++j) {
+      vecs(r, j) = r < encoded.rows()
+                       ? encoded(r, j)
+                       : static_cast<float>(rng.Uniform(-1.0, 1.0));
+    }
+  }
+  for (const size_t r : {core::kScanChunkRows - 2, core::kScanChunkRows - 1,
+                         core::kScanChunkRows, core::kScanChunkRows + 1}) {
+    vecs(r, r % d) = std::numeric_limits<float>::quiet_NaN();
+  }
   const core::VectorIndex index{nn::Matrix(vecs)};
+  // Ids, distance bits and ranks in one comparable vector.
+  const auto append = [](const core::KnnResult& knn,
+                         std::vector<uint64_t>* out) {
+    for (size_t i = 0; i < knn.size(); ++i) {
+      out->push_back(knn.ids[i]);
+      out->push_back(std::bit_cast<uint64_t>(knn.distances[i]));
+    }
+  };
   ExpectIdenticalAcrossThreadCounts([&] {
-    std::vector<size_t> out;
+    std::vector<uint64_t> out;
     for (size_t q = 0; q < 8; ++q) {
-      const auto knn = index.Query({vecs.Row(q), vecs.cols()}, 10);
-      out.insert(out.end(), knn.ids.begin(), knn.ids.end());
+      append(index.Query({vecs.Row(q), d}, 10), &out);
       out.push_back(index.RankOf(vecs.Row(q), q));
     }
+    // k = Size(): every chunk keeps all of its rows and the merge orders
+    // the whole store, in O(n log n) rather than O(n * k).
+    const core::KnnResult all = index.Query({vecs.Row(8), d}, index.Size());
+    EXPECT_EQ(all.size(), n);
+    EXPECT_EQ(all.ids.back(), core::kScanChunkRows + 1);  // NaNs order last.
+    append(all, &out);
     return out;
   });
 }

@@ -31,13 +31,19 @@
 #                              background compaction, connection fan-out, and
 #                              the incremental AnnIndex backends — tests ride
 #                              labels, no hand-maintained list)
-#   stage 8  UBSan             full ctest under -fsanitize=undefined with
+#   stage 8  ASan              ctest -L 'kernel|determinism' under
+#                              -fsanitize=address: the SIMD kernels read
+#                              through raw row pointers plus a scalar tail,
+#                              and an over-read there is invisible to UBSan
+#                              and TSan (the index scans, golden digests and
+#                              tier-identity suites all ride these labels)
+#   stage 9  UBSan             full ctest under -fsanitize=undefined with
 #                              -fno-sanitize-recover: any UB aborts the test
 #
 # Each compiler/sanitizer tier builds in its own tree (<build-dir>-tidy,
-# -tsa, -tsan, -ubsan) so instrumented or differently-flagged objects never
-# mix with the release ones. Stages run in increasing cost order; the first
-# failure stops the pipeline.
+# -tsa, -tsan, -asan, -ubsan) so instrumented or differently-flagged objects
+# never mix with the release ones. Stages run in increasing cost order; the
+# first failure stops the pipeline.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -45,18 +51,19 @@ BUILD_DIR="${1:-build}"
 TIDY_DIR="${BUILD_DIR}-tidy"
 TSA_DIR="${BUILD_DIR}-tsa"
 TSAN_DIR="${BUILD_DIR}-tsan"
+ASAN_DIR="${BUILD_DIR}-asan"
 UBSAN_DIR="${BUILD_DIR}-ubsan"
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
-echo "== stage 1/8: configure/build/ctest (${BUILD_DIR}) =="
+echo "== stage 1/9: configure/build/ctest (${BUILD_DIR}) =="
 cmake -B "${BUILD_DIR}" -S . -DT2VEC_WERROR=ON >/dev/null
 cmake --build "${BUILD_DIR}" -j "${JOBS}"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
 
-echo "== stage 2/8: determinism lint (src/ bench/ tools/) =="
+echo "== stage 2/9: determinism lint (src/ bench/ tools/) =="
 python3 tools/lint_determinism.py
 
-echo "== stage 3/8: robustness- and concurrency-labeled tests (${BUILD_DIR}) =="
+echo "== stage 3/9: robustness- and concurrency-labeled tests (${BUILD_DIR}) =="
 ctest --test-dir "${BUILD_DIR}" -L 'robustness|concurrency' \
   --output-on-failure -j "${JOBS}"
 # Chaos soak seed matrix: the label run above already covered the default
@@ -68,7 +75,7 @@ for seed in 2 3; do
     --output-on-failure
 done
 
-echo "== stage 4/8: kernel-labeled tests under each SIMD tier (${BUILD_DIR}) =="
+echo "== stage 4/9: kernel-labeled tests under each SIMD tier (${BUILD_DIR}) =="
 # On machines without AVX2 the avx2 run degrades to scalar via the dispatch
 # clamp — that fallback (no SIGILL, tier logged) is itself under test.
 T2VEC_SIMD=scalar ctest --test-dir "${BUILD_DIR}" -L kernel \
@@ -76,7 +83,7 @@ T2VEC_SIMD=scalar ctest --test-dir "${BUILD_DIR}" -L kernel \
 T2VEC_SIMD=avx2 ctest --test-dir "${BUILD_DIR}" -L kernel \
   --output-on-failure -j "${JOBS}"
 
-echo "== stage 5/8: clang-tidy (src/) =="
+echo "== stage 5/9: clang-tidy (src/) =="
 if command -v clang-tidy >/dev/null 2>&1; then
   cmake -B "${TIDY_DIR}" -S . -DT2VEC_WERROR=ON -DT2VEC_CLANG_TIDY=ON \
     >/dev/null
@@ -86,7 +93,7 @@ else
   echo "clang-tidy not installed; stage skipped (config: .clang-tidy)"
 fi
 
-echo "== stage 6/8: Clang Thread Safety Analysis (src/) =="
+echo "== stage 6/9: Clang Thread Safety Analysis (src/) =="
 # Proves the lock discipline at compile time: every GUARDED_BY member is
 # only touched with its mutex held, every acquire is released on all paths
 # (common/sync.h, DESIGN.md §5.4). Library targets only — tests deliberately
@@ -100,7 +107,7 @@ else
   echo "clang++ not installed; stage skipped (CI runs it: clang-thread-safety)"
 fi
 
-echo "== stage 7/8: TSan on determinism + concurrency tests (${TSAN_DIR}) =="
+echo "== stage 7/9: TSan on determinism + concurrency tests (${TSAN_DIR}) =="
 cmake -B "${TSAN_DIR}" -S . -DT2VEC_WERROR=ON -DT2VEC_SANITIZE=thread \
   >/dev/null
 cmake --build "${TSAN_DIR}" -j "${JOBS}"
@@ -112,7 +119,14 @@ T2VEC_THREADS=1 ctest --test-dir "${TSAN_DIR}" -L concurrency \
 T2VEC_THREADS=8 ctest --test-dir "${TSAN_DIR}" -L concurrency \
   --output-on-failure -j "${JOBS}"
 
-echo "== stage 8/8: UBSan (-fno-sanitize-recover) full suite (${UBSAN_DIR}) =="
+echo "== stage 8/9: ASan on kernel + determinism tests (${ASAN_DIR}) =="
+cmake -B "${ASAN_DIR}" -S . -DT2VEC_WERROR=ON -DT2VEC_SANITIZE=address \
+  >/dev/null
+cmake --build "${ASAN_DIR}" -j "${JOBS}"
+ctest --test-dir "${ASAN_DIR}" -L 'kernel|determinism' --output-on-failure \
+  -j "${JOBS}"
+
+echo "== stage 9/9: UBSan (-fno-sanitize-recover) full suite (${UBSAN_DIR}) =="
 cmake -B "${UBSAN_DIR}" -S . -DT2VEC_WERROR=ON -DT2VEC_SANITIZE=undefined \
   >/dev/null
 cmake --build "${UBSAN_DIR}" -j "${JOBS}"
