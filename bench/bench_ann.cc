@@ -1,8 +1,8 @@
 // ANN retrieval bench (DESIGN.md §4e): IVF recall@10 and QPS versus the
 // exact scan over a 100k+ vector corpus, sweeping nlist x nprobe, plus the
-// cold-start costs that motivate the mmap snapshot path (full-read load vs
-// zero-copy open, for both standalone index files and EmbeddingStore
-// snapshots). Emits BENCH_ann.json (tracked in EXPERIMENTS.md).
+// cold start of the best operating point's EmbeddingStore snapshot through
+// its zero-copy LoadMmap reader. Emits BENCH_ann.json (tracked in
+// EXPERIMENTS.md).
 //
 // Acceptance target (ISSUE 8): some swept operating point must reach
 // recall@10 >= 0.9 while serving >= 5x the exact scan's QPS.
@@ -11,7 +11,6 @@
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -79,7 +78,6 @@ int main() {
   bool qualified = false;
   double best_qps = 0.0, best_recall = 0.0, best_build_s = 0.0;
   size_t best_nlist = 0, best_nprobe = 0;
-  std::unique_ptr<core::AnnIndex> best_index;
 
   for (const size_t nlist : {size_t{64}, size_t{256}, size_t{1024}}) {
     core::IndexConfig config;
@@ -125,11 +123,10 @@ int main() {
         best_build_s = build_s;
       }
     }
-    if (nlist == best_nlist) best_index = std::move(built);
   }
   table.Print();
 
-  T2VEC_CHECK(best_index != nullptr);
+  T2VEC_CHECK(best_nlist != 0);
   std::printf("\n%s point: nlist=%zu nprobe=%zu recall=%.3f "
               "QPS=%.0f (%.1fx exact), build %.1fs\n",
               qualified ? "best qualifying (recall >= 0.9)"
@@ -137,26 +134,12 @@ int main() {
               best_nlist, best_nprobe, best_recall, best_qps,
               best_qps / exact_qps, best_build_s);
 
-  // Cold start: full-read load vs zero-copy mmap open, standalone index.
-  const std::string index_path = "/tmp/bench_ann.idx";
+  // Cold start, serving layer: EmbeddingStore snapshot with the same
+  // corpus under the best IVF config, reopened through LoadMmap.
   core::IndexConfig best_config;
   best_config.kind = core::IndexKind::kIvf;
   best_config.ivf_nlist = best_nlist;
   best_config.ivf_nprobe = best_nprobe;
-  watch.Reset();
-  T2VEC_CHECK(best_index->Save(index_path).ok());
-  const double save_ms = watch.ElapsedMillis();
-  watch.Reset();
-  auto full = core::LoadIndex(best_config, index_path);
-  const double index_load_full_ms = watch.ElapsedMillis();
-  T2VEC_CHECK(full.ok());
-  watch.Reset();
-  auto mapped = core::OpenIndexMmap(best_config, index_path);
-  const double index_load_mmap_ms = watch.ElapsedMillis();
-  T2VEC_CHECK(mapped.ok());
-
-  // Cold start, serving layer: EmbeddingStore snapshot with the same
-  // corpus under the same IVF config.
   const std::string store_path = "/tmp/bench_ann.t2vstore";
   serve::EmbeddingStore store(d, best_config);
   for (size_t i = 0; i < n; ++i) {
@@ -164,20 +147,12 @@ int main() {
   }
   T2VEC_CHECK(store.Save(store_path).ok());
   watch.Reset();
-  auto store_full = serve::EmbeddingStore::Load(store_path, best_config);
-  const double store_load_full_ms = watch.ElapsedMillis();
-  T2VEC_CHECK(store_full.ok());
-  watch.Reset();
   auto store_mmap = serve::EmbeddingStore::LoadMmap(store_path, best_config);
   const double store_load_mmap_ms = watch.ElapsedMillis();
   T2VEC_CHECK(store_mmap.ok());
 
-  std::printf("\ncold start (index, %zu rows): full read %.1f ms, mmap "
-              "%.2f ms\ncold start (store): full read %.1f ms, mmap %.2f "
-              "ms; save %.1f ms\n",
-              n, index_load_full_ms, index_load_mmap_ms, store_load_full_ms,
-              store_load_mmap_ms, save_ms);
-  std::remove(index_path.c_str());
+  std::printf("\ncold start (store, %zu rows): mmap %.2f ms\n", n,
+              store_load_mmap_ms);
   std::remove(store_path.c_str());
 
   WriteBenchJson(
@@ -193,10 +168,6 @@ int main() {
        {"best_speedup_vs_exact", best_qps / exact_qps},
        {"best_meets_recall_target", qualified ? 1.0 : 0.0},
        {"ivf_build_s", best_build_s},
-       {"index_save_ms", save_ms},
-       {"index_load_full_ms", index_load_full_ms},
-       {"index_load_mmap_ms", index_load_mmap_ms},
-       {"store_load_full_ms", store_load_full_ms},
        {"store_load_mmap_ms", store_load_mmap_ms}});
   std::printf("\nwrote BENCH_ann.json\n");
   return 0;

@@ -26,12 +26,10 @@
 ///     [payload bytes][payload_size u64][crc32c u32][trailer magic u32]
 ///
 /// The reader verifies the trailer before any field is trusted: a valid
-/// trailer bounds every read by the payload size and a CRC mismatch fails
-/// the whole file up front. Files without a valid trailer are read in
-/// legacy mode (`checksummed() == false`) so pre-framing artifacts stay
-/// loadable — owners that bumped their format version reject the
-/// combination "new version, no trailer", which is how truncation that
-/// strips exactly the trailer is caught.
+/// trailer bounds every read by the payload size, and a stream without one
+/// (truncated, stripped, or never framed) or with a CRC mismatch fails the
+/// whole file up front. There is no unchecked mode: every artifact has one
+/// framed format.
 
 namespace t2vec {
 
@@ -80,10 +78,6 @@ class BinaryWriter {
   /// O(rows), in syscalls.
   void WriteRaw(const void* data, size_t n) { Append(data, n); }
 
-  /// Payload bytes appended so far. Lets writers compute the file offset of
-  /// the next field, e.g. to keep a raw block aligned for mmap serving.
-  uint64_t payload_size() const { return payload_size_; }
-
   /// Appends the CRC32C trailer and atomically publishes the file. Returns
   /// the first error of the whole write sequence; on error the final path
   /// is untouched.
@@ -112,10 +106,11 @@ class BinaryWriter {
 /// Reads values written by BinaryWriter, in the same order.
 ///
 /// The whole file is read up front and the CRC trailer is verified before
-/// the first field is served; every subsequent read is bounded by the
-/// verified payload size, so a corrupt length field can never trigger a
-/// multi-GiB allocation — it fails soft instead. Check `ok()` before use;
-/// `status()` carries the open/verification error.
+/// the first field is served; a missing trailer or a CRC mismatch fails the
+/// reader at open. Every subsequent read is bounded by the verified payload
+/// size, so a corrupt length field can never trigger a multi-GiB
+/// allocation — it fails soft instead. Check `ok()` before use; `status()`
+/// carries the open/verification error.
 class BinaryReader {
  public:
   explicit BinaryReader(const std::string& path) {
@@ -142,11 +137,6 @@ class BinaryReader {
 
   /// OK, or the open / checksum-verification error.
   const Status& status() const { return status_; }
-
-  /// True when a valid CRC trailer was present and verified. Owners of
-  /// versioned formats reject version >= "framing bump" files that are not
-  /// checksummed: that combination means the trailer was stripped.
-  bool checksummed() const { return checksummed_; }
 
   /// Unread payload bytes.
   size_t remaining() const { return payload_end_ - pos_; }
@@ -201,30 +191,29 @@ class BinaryReader {
     return p;
   }
 
-  /// Absolute payload offset of the next read (bytes consumed so far).
-  size_t position() const { return pos_; }
-
  private:
   void Init(const char* data, size_t size, const std::string& name) {
     base_ = data;
-    payload_end_ = size;
-    if (size < kCrcTrailerBytes) return;  // Legacy (tiny) stream.
+    failed_ = true;  // Until the trailer checks out.
     uint64_t payload_size = 0;
     uint32_t crc = 0, magic = 0;
-    const char* trailer = data + size - kCrcTrailerBytes;
-    std::memcpy(&payload_size, trailer, sizeof(payload_size));
-    std::memcpy(&crc, trailer + 8, sizeof(crc));
-    std::memcpy(&magic, trailer + 12, sizeof(magic));
+    if (size >= kCrcTrailerBytes) {
+      const char* trailer = data + size - kCrcTrailerBytes;
+      std::memcpy(&payload_size, trailer, sizeof(payload_size));
+      std::memcpy(&crc, trailer + 8, sizeof(crc));
+      std::memcpy(&magic, trailer + 12, sizeof(magic));
+    }
     if (magic != kCrcTrailerMagic || payload_size != size - kCrcTrailerBytes) {
-      return;  // No trailer: legacy stream, reads bounded by file size.
+      status_ = Status::IoError(
+          name + " is missing its checksum trailer (truncated?)");
+      return;
     }
     if (Crc32c(0, data, payload_size) != crc) {
-      failed_ = true;
       status_ = Status::IoError("checksum mismatch in " + name +
                                 ": file is corrupt");
       return;
     }
-    checksummed_ = true;
+    failed_ = false;
     payload_end_ = payload_size;
   }
 
@@ -237,7 +226,6 @@ class BinaryReader {
   const char* base_ = nullptr;
   size_t pos_ = 0;
   size_t payload_end_ = 0;
-  bool checksummed_ = false;
   bool failed_ = false;
   Status status_;
 };

@@ -1,7 +1,6 @@
 #include "core/ann_index.h"
 
 #include <cstdio>
-#include <cstring>
 #include <utility>
 
 #include "common/macros.h"
@@ -49,68 +48,6 @@ class BoundedTopK {
   size_t k_;
   std::vector<Scored> heap_;
 };
-
-// One shared parse of the standalone snapshot header; both loaders funnel
-// through it so the validation (magic, version, checksum policy, size
-// bounds) cannot drift between the copying and the mmap path.
-struct SnapshotHeader {
-  IndexKind kind = IndexKind::kExact;
-  size_t dim = 0;
-  size_t rows = 0;
-};
-
-Result<SnapshotHeader> ParseIndexHeader(BinaryReader* reader,
-                                        const std::string& path) {
-  if (!reader->ok()) return reader->status();
-  uint32_t magic = 0, version = 0, kind = 0;
-  uint64_t dim = 0, rows = 0;
-  if (!reader->ReadPod(&magic) || magic != kIndexSnapshotMagic) {
-    return Status::IoError("not an index snapshot: " + path);
-  }
-  if (!reader->ReadPod(&version) || version == 0 ||
-      version > kIndexSnapshotVersion) {
-    return Status::IoError("unsupported index snapshot version in " + path);
-  }
-  // Every index snapshot version is CRC-framed; a version-valid file with
-  // no trailer had its checksum stripped (e.g. trailer-sized truncation).
-  if (!reader->checksummed()) {
-    return Status::IoError("index snapshot " + path +
-                           " is missing its checksum trailer");
-  }
-  if (!reader->ReadPod(&kind) ||
-      kind > static_cast<uint32_t>(IndexKind::kIvf)) {
-    return Status::IoError("unknown index kind in " + path);
-  }
-  if (!reader->ReadPod(&dim) || dim == 0 || !reader->ReadPod(&rows)) {
-    return Status::IoError("truncated index snapshot header in " + path);
-  }
-  if (rows > reader->remaining() / (dim * sizeof(float))) {
-    return Status::IoError("index snapshot row block truncated in " + path);
-  }
-  SnapshotHeader header;
-  header.kind = static_cast<IndexKind>(kind);
-  header.dim = static_cast<size_t>(dim);
-  header.rows = static_cast<size_t>(rows);
-  return header;
-}
-
-Result<std::unique_ptr<AnnIndex>> RestoreIndex(const IndexConfig& config,
-                                               const std::string& path,
-                                               BinaryReader* reader,
-                                               RowBlock block,
-                                               IndexKind file_kind,
-                                               size_t dim) {
-  auto created = CreateIndex(config, dim);
-  if (!created.ok()) return created.status();
-  std::unique_ptr<AnnIndex> index = std::move(created).value();
-  // The aux block only describes `file_kind`'s structure; under a different
-  // configured kind the rows still load and the backend rebuilds.
-  BinaryReader* aux = file_kind == config.kind ? reader : nullptr;
-  if (Status st = index->Restore(std::move(block), aux); !st.ok()) {
-    return Status(st.code(), "loading " + path + ": " + st.message());
-  }
-  return index;
-}
 
 }  // namespace
 
@@ -206,14 +143,6 @@ void RowStore::InstallBorrowed(const float* base, size_t n,
   keepalive_ = std::move(keepalive);
 }
 
-void RowStore::InstallOwned(std::vector<float> data) {
-  T2VEC_CHECK(rows() == 0);
-  T2VEC_CHECK(data.size() % dim_ == 0);
-  owned_base_ = std::move(data);
-  base_ = owned_base_.data();
-  base_rows_ = owned_base_.size() / dim_;
-}
-
 void RowStore::AppendRawTo(BinaryWriter* writer) const {
   if (base_rows_ > 0) {
     writer->WriteRaw(base_, base_rows_ * dim_ * sizeof(float));
@@ -228,30 +157,10 @@ void AnnIndex::Add(std::span<const float> vec) {
   OnAppend(row);
 }
 
-Status AnnIndex::Save(const std::string& path) const {
-  BinaryWriter writer(path);
-  writer.WritePod(kIndexSnapshotMagic);
-  writer.WritePod(kIndexSnapshotVersion);
-  writer.WritePod(static_cast<uint32_t>(kind()));
-  writer.WritePod<uint64_t>(dim());
-  writer.WritePod<uint64_t>(Size());
-  // Header is 28 bytes, so the row block lands 4-byte aligned for the mmap
-  // read path (static_asserted here rather than trusted).
-  static_assert((4 + 4 + 4 + 8 + 8) % alignof(float) == 0);
-  rows_.AppendRawTo(&writer);
-  SaveAux(&writer);
-  return writer.Finish();
-}
-
 Status AnnIndex::Restore(RowBlock block, BinaryReader* aux) {
   T2VEC_CHECK(Size() == 0);
   const size_t n = block.rows;
-  if (block.borrowed != nullptr) {
-    rows_.InstallBorrowed(block.borrowed, n, std::move(block.keepalive));
-  } else {
-    T2VEC_CHECK(block.owned.size() == n * dim());
-    rows_.InstallOwned(std::move(block.owned));
-  }
+  rows_.InstallBorrowed(block.borrowed, n, std::move(block.keepalive));
   if (aux != nullptr) {
     Status st = LoadAux(aux);
     if (st.ok()) return st;
@@ -386,48 +295,6 @@ Result<std::unique_ptr<AnnIndex>> CreateIndex(const IndexConfig& config,
       return std::unique_ptr<AnnIndex>(new IvfIndex(dim, config));
   }
   return Status::InvalidArgument("unknown index kind");
-}
-
-Result<std::unique_ptr<AnnIndex>> LoadIndex(const IndexConfig& config,
-                                            const std::string& path) {
-  BinaryReader reader(path);
-  auto header = ParseIndexHeader(&reader, path);
-  if (!header.ok()) return header.status();
-  const SnapshotHeader& h = header.value();
-  RowBlock block;
-  block.rows = h.rows;
-  block.owned.resize(h.rows * h.dim);
-  const char* raw = reader.ReadRaw(h.rows * h.dim * sizeof(float));
-  T2VEC_CHECK(raw != nullptr);  // Bounded by ParseIndexHeader's size check.
-  std::memcpy(block.owned.data(), raw, block.owned.size() * sizeof(float));
-  return RestoreIndex(config, path, &reader, std::move(block), h.kind, h.dim);
-}
-
-Result<std::unique_ptr<AnnIndex>> OpenIndexMmap(const IndexConfig& config,
-                                               const std::string& path) {
-  auto mapped = MmapFile::Open(path);
-  if (!mapped.ok()) return mapped.status();
-  auto keepalive = std::make_shared<MmapFile>(std::move(mapped).value());
-  BinaryReader reader(keepalive->data(), keepalive->size(), path);
-  auto header = ParseIndexHeader(&reader, path);
-  if (!header.ok()) return header.status();
-  const SnapshotHeader& h = header.value();
-  RowBlock block;
-  block.rows = h.rows;
-  block.borrowed = reinterpret_cast<const float*>(
-      reader.ReadRaw(h.rows * h.dim * sizeof(float)));
-  block.keepalive = keepalive;
-  if (h.rows > 0) {
-    T2VEC_CHECK(block.borrowed != nullptr);
-    // The 28-byte header keeps the block float-aligned within the
-    // page-aligned mapping; verify rather than assume.
-    T2VEC_CHECK(reinterpret_cast<uintptr_t>(block.borrowed) %
-                    alignof(float) ==
-                0);
-  } else {
-    block.borrowed = nullptr;
-  }
-  return RestoreIndex(config, path, &reader, std::move(block), h.kind, h.dim);
 }
 
 }  // namespace t2vec::core

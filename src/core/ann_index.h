@@ -23,9 +23,9 @@
 /// `CreateIndex` and talks to it as an `AnnIndex`: exact scan
 /// (`VectorIndex`), multi-probe LSH (`LshIndex`), or the IVF coarse
 /// quantizer (`IvfIndex`). The base class owns the vector rows (`RowStore`)
-/// and the non-virtual Add/Save/Restore skeleton; backends only implement
-/// how a new row enters their acceleration structure (`OnAppend`) and how
-/// that structure round-trips a snapshot (`SaveAux`/`LoadAux`).
+/// and the non-virtual Add/Restore skeleton; backends only implement how a
+/// new row enters their acceleration structure (`OnAppend`) and how that
+/// structure round-trips a snapshot (`SaveAux`/`LoadAux`).
 ///
 /// This template-method split is what makes the "incremental Add is
 /// provably identical to build-once" guarantee structural rather than
@@ -33,16 +33,12 @@
 /// without usable aux all funnel through the same `OnAppend(row)` calls in
 /// the same ascending row order, so there is no second code path to drift.
 ///
-/// Snapshot format (standalone index files, magic "t2vA"):
-///
-///     magic u32 | version u32 | kind u32 | dim u64 | rows u64 |
-///     rows*dim raw floats | backend aux | CRC32C trailer
-///
-/// The raw float block starts at byte 28 (4-byte aligned) so an
-/// mmap-backed open (`OpenIndexMmap`) can serve rows zero-copy straight
-/// out of the page cache: the CRC is verified once at open, and the
-/// `RowStore` keeps the mapping alive for as long as any borrowed row may
-/// be dereferenced (see `common/fs.h` MmapFile lifetime rules).
+/// An index has no file format of its own: the `EmbeddingStore` snapshot
+/// (serve/embedding_store.h) is where its rows and aux structure persist,
+/// through `AppendRowsTo`/`AppendAuxTo` on save and `Restore` on load. The
+/// store's `LoadMmap` hands `Restore` rows borrowed from the mapping, and
+/// the `RowStore` keeps that mapping alive for as long as any borrowed row
+/// may be dereferenced (see `common/fs.h` MmapFile lifetime rules).
 ///
 /// Every backend answers through one exact top-k scan owned by the base
 /// (`ExactTopK`): the exact index over every row, IVF over its probed lists
@@ -54,14 +50,6 @@
 namespace t2vec::core {
 
 using dist::KnnResult;
-
-/// Magic + version for standalone index snapshots ("t2vA" little-endian).
-/// Version 2 is the first (and current) version: index snapshots were born
-/// after the repo-wide CRC-framing bump, so like every other artifact they
-/// start at the first checksummed version and readers reject "version >= 2
-/// but no trailer" as a stripped checksum.
-inline constexpr uint32_t kIndexSnapshotMagic = 0x41763274;
-inline constexpr uint32_t kIndexSnapshotVersion = 2;
 
 /// Rows per chunk of an exact scan. A scan of fewer than two chunks' worth
 /// of rows runs inline on the calling thread (waking the pool costs more
@@ -171,9 +159,6 @@ class RowStore {
   void InstallBorrowed(const float* base, size_t n,
                        std::shared_ptr<MmapFile> keepalive);
 
-  /// Installs owned rows as the base prefix (store must be empty).
-  void InstallOwned(std::vector<float> data);
-
   /// Appends every row's raw bytes (no length prefix) to `writer` — at most
   /// two write calls (borrowed block + owned tail), not one per row.
   void AppendRawTo(BinaryWriter* writer) const;
@@ -182,16 +167,14 @@ class RowStore {
   size_t dim_;
   const float* base_ = nullptr;  // borrowed prefix (nullptr if none)
   size_t base_rows_ = 0;
-  std::vector<float> owned_base_;  // backs base_ when InstallOwned was used
-  std::vector<float> tail_;        // rows appended after the base
+  std::vector<float> tail_;  // rows appended after the base
   std::shared_ptr<MmapFile> keepalive_;
 };
 
-/// Rows to install into a restored index: either an owned float block or a
-/// borrowed pointer (plus the mapping that keeps it alive).
+/// Rows to install into a restored index: a pointer into a mapped snapshot
+/// plus the mapping that keeps it alive.
 struct RowBlock {
   size_t rows = 0;
-  std::vector<float> owned;            // used when borrowed == nullptr
   const float* borrowed = nullptr;
   std::shared_ptr<MmapFile> keepalive;
 };
@@ -223,9 +206,6 @@ class AnnIndex {
 
   /// Raw pointer to indexed row `r` — zero-copy for borrowed (mmap) rows.
   const float* RowPtr(size_t r) const { return rows_.Row(r); }
-
-  /// Writes the standalone snapshot format (see file comment) atomically.
-  Status Save(const std::string& path) const;
 
   /// Installs restored rows into an empty index, then rebuilds the backend
   /// structure: from `aux` (the snapshot's serialized structure) when given
@@ -325,18 +305,6 @@ class AnnIndex {
 /// (validated first). The only way serving code builds a concrete index.
 Result<std::unique_ptr<AnnIndex>> CreateIndex(const IndexConfig& config,
                                               size_t dim);
-
-/// Loads a standalone index snapshot, reading the whole file. The file's
-/// kind must not necessarily match `config.kind`: rows always load, and the
-/// aux structure is used when the kinds match, rebuilt otherwise.
-Result<std::unique_ptr<AnnIndex>> LoadIndex(const IndexConfig& config,
-                                            const std::string& path);
-
-/// Like LoadIndex but memory-maps the snapshot and serves its rows
-/// zero-copy: the CRC is verified once at open (one sequential pass) and no
-/// row bytes are copied, so a million-vector index opens in milliseconds.
-Result<std::unique_ptr<AnnIndex>> OpenIndexMmap(const IndexConfig& config,
-                                               const std::string& path);
 
 }  // namespace t2vec::core
 

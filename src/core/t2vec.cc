@@ -24,10 +24,8 @@ namespace {
 
 constexpr uint32_t kModelMagic = 0x54325631;  // "T2V1"
 // Version 2 added the atomic-write + CRC32C trailer framing (DESIGN.md §7);
-// the payload layout is unchanged, so version-1 (trailer-less) files remain
-// loadable.
+// it is the only version the loader reads.
 constexpr uint32_t kModelVersion = 2;
-constexpr uint32_t kFirstChecksummedModelVersion = 2;
 
 // Bounding box of all points, expanded by one cell so boundary clamping
 // never moves a real point.
@@ -303,12 +301,9 @@ Result<T2Vec> T2Vec::Load(const std::string& path) {
   if (!reader.ReadPod(&magic) || magic != kModelMagic) {
     return Status::IoError("bad model magic in " + path);
   }
-  if (!reader.ReadPod(&version) || version == 0 || version > kModelVersion) {
-    return Status::IoError("unsupported model version in " + path);
-  }
-  if (version >= kFirstChecksummedModelVersion && !reader.checksummed()) {
-    return Status::IoError("model file " + path +
-                           " is missing its checksum trailer (truncated?)");
+  if (!reader.ReadPod(&version) || version != kModelVersion) {
+    return Status::IoError("model file " + path + " has unsupported version " +
+                           std::to_string(version));
   }
 
   T2VecConfig config;

@@ -137,13 +137,8 @@ Status Trainer::Snapshot::Read(const std::string& path,
     return Status::IoError("bad snapshot magic in " + path);
   }
   if (!reader.ReadPod(&version) || version != kSnapshotVersion) {
-    return Status::IoError("unsupported snapshot version in " + path);
-  }
-  // Snapshots have always been CRC-framed; a framed file whose trailer is
-  // gone was truncated at exactly the payload boundary.
-  if (!reader.checksummed()) {
-    return Status::IoError("snapshot " + path +
-                           " is missing its checksum trailer (truncated?)");
+    return Status::IoError("snapshot " + path + " has unsupported version " +
+                           std::to_string(version));
   }
   uint64_t fingerprint = 0;
   if (!reader.ReadPod(&fingerprint)) {

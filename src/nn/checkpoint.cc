@@ -9,10 +9,9 @@ namespace t2vec::nn {
 
 namespace {
 constexpr uint32_t kMagic = 0x54325643;  // "T2VC"
-// Version 2 added the atomic-write + CRC32C trailer framing; the payload
-// layout is unchanged, so version-1 (trailer-less) files remain loadable.
+// Version 2 added the atomic-write + CRC32C trailer framing; it is the only
+// version the loader reads.
 constexpr uint32_t kVersion = 2;
-constexpr uint32_t kFirstChecksummedVersion = 2;
 }  // namespace
 
 void WriteParamBlock(BinaryWriter* writer, const ParamList& params) {
@@ -84,12 +83,9 @@ Status LoadParams(const ParamList& params, const std::string& path) {
   if (!reader.ReadPod(&magic) || magic != kMagic) {
     return Status::IoError("bad checkpoint magic in " + path);
   }
-  if (!reader.ReadPod(&version) || version == 0 || version > kVersion) {
-    return Status::IoError("unsupported checkpoint version in " + path);
-  }
-  if (version >= kFirstChecksummedVersion && !reader.checksummed()) {
-    return Status::IoError("checkpoint " + path +
-                           " is missing its checksum trailer (truncated?)");
+  if (!reader.ReadPod(&version) || version != kVersion) {
+    return Status::IoError("checkpoint " + path + " has unsupported version " +
+                           std::to_string(version));
   }
   Status status = ReadParamBlock(&reader, params);
   if (!status.ok()) {

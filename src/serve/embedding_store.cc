@@ -1,6 +1,5 @@
 #include "serve/embedding_store.h"
 
-#include <cstring>
 #include <utility>
 
 #include "common/macros.h"
@@ -13,13 +12,11 @@ namespace {
 // "t2vS" little-endian: distinguishes store snapshots from model files.
 constexpr uint32_t kStoreMagic = 0x5376'3274;
 // Version 2 added the atomic-write + CRC32C trailer framing (DESIGN.md §7).
-// Version 3 embeds the retrieval backend: an index-kind field after the
-// dimension and the index's serialized structure after the vector block, so
-// an IVF/LSH store reopens without retraining. v1/v2 files (no embedded
-// index) remain loadable — the backend is rebuilt from the vectors.
+// Version 3, the only one the loader reads, embeds the retrieval backend:
+// an index-kind field after the dimension and the index's serialized
+// structure after the vector block, so an IVF/LSH store reopens without
+// retraining.
 constexpr uint32_t kStoreVersion = 3;
-constexpr uint32_t kFirstChecksummedStoreVersion = 2;
-constexpr uint32_t kFirstIndexedStoreVersion = 3;
 
 }  // namespace
 
@@ -80,96 +77,66 @@ Status EmbeddingStore::Save(const std::string& path) const {
   return writer.Finish();
 }
 
-Result<EmbeddingStore> EmbeddingStore::Load(const std::string& path,
-                                            core::IndexConfig config) {
-  BinaryReader reader(path);
-  return LoadImpl(reader, path, config, nullptr);
-}
-
 Result<EmbeddingStore> EmbeddingStore::LoadMmap(const std::string& path,
                                                 core::IndexConfig config) {
+  if (Status st = config.Validate(); !st.ok()) return st;
   auto mapped = MmapFile::Open(path);
   if (!mapped.ok()) return mapped.status();
   auto keepalive = std::make_shared<MmapFile>(std::move(mapped).value());
   BinaryReader reader(keepalive->data(), keepalive->size(), path);
-  return LoadImpl(reader, path, config, std::move(keepalive));
-}
-
-Result<EmbeddingStore> EmbeddingStore::LoadImpl(
-    BinaryReader& reader, const std::string& path,
-    const core::IndexConfig& config, std::shared_ptr<MmapFile> keepalive) {
-  if (Status st = config.Validate(); !st.ok()) return st;
   if (!reader.ok()) return reader.status();
+  const auto error = [&path](const std::string& what) {
+    return Status::IoError("EmbeddingStore::LoadMmap: " + what + " in " +
+                           path);
+  };
   uint32_t magic = 0;
   uint32_t version = 0;
   uint64_t dim = 0;
+  uint32_t file_kind = 0;
   if (!reader.ReadPod(&magic) || magic != kStoreMagic) {
-    return Status::IoError("EmbeddingStore::Load: bad magic in " + path);
+    return error("bad magic");
   }
-  if (!reader.ReadPod(&version) || version == 0 || version > kStoreVersion) {
-    return Status::IoError("EmbeddingStore::Load: unsupported version in " +
-                           path);
+  if (!reader.ReadPod(&version) || version != kStoreVersion) {
+    return error("unsupported version " + std::to_string(version));
   }
-  if (version >= kFirstChecksummedStoreVersion && !reader.checksummed()) {
-    return Status::IoError("EmbeddingStore::Load: " + path +
-                           " is missing its checksum trailer (truncated?)");
-  }
-  if (!reader.ReadPod(&dim) || dim == 0) {
-    return Status::IoError("EmbeddingStore::Load: bad dimension in " + path);
-  }
-  uint32_t file_kind = static_cast<uint32_t>(core::IndexKind::kExact);
-  if (version >= kFirstIndexedStoreVersion) {
-    if (!reader.ReadPod(&file_kind) ||
-        file_kind > static_cast<uint32_t>(core::IndexKind::kIvf)) {
-      return Status::IoError("EmbeddingStore::Load: bad index kind in " +
-                             path);
-    }
+  if (!reader.ReadPod(&dim) || dim == 0) return error("bad dimension");
+  if (!reader.ReadPod(&file_kind) ||
+      file_kind > static_cast<uint32_t>(core::IndexKind::kIvf)) {
+    return error("bad index kind");
   }
   std::vector<int64_t> ids;
   uint64_t floats = 0;
   if (!reader.ReadVector(&ids) || !reader.ReadPod(&floats) ||
       floats != ids.size() * dim ||
       floats > reader.remaining() / sizeof(float)) {
-    return Status::IoError("EmbeddingStore::Load: truncated store in " + path);
+    return error("truncated store");
   }
 
+  // Zero-copy: rows point into the mapping; the store keeps it alive.
   core::RowBlock block;
   block.rows = ids.size();
   const char* raw = reader.ReadRaw(static_cast<size_t>(floats) *
                                    sizeof(float));
-  if (raw == nullptr) {
-    return Status::IoError("EmbeddingStore::Load: truncated store in " + path);
-  }
-  if (keepalive != nullptr && block.rows > 0) {
-    // Zero-copy: rows point into the mapping; the store keeps it alive.
-    T2VEC_CHECK(reinterpret_cast<uintptr_t>(raw) % alignof(float) == 0);
-    block.borrowed = reinterpret_cast<const float*>(raw);
-    block.keepalive = std::move(keepalive);
-  } else {
-    block.owned.resize(static_cast<size_t>(floats));
-    std::memcpy(block.owned.data(), raw,
-                static_cast<size_t>(floats) * sizeof(float));
-  }
+  if (raw == nullptr) return error("truncated store");
+  T2VEC_CHECK(reinterpret_cast<uintptr_t>(raw) % alignof(float) == 0);
+  block.borrowed = reinterpret_cast<const float*>(raw);
+  block.keepalive = std::move(keepalive);
 
   EmbeddingStore store(static_cast<size_t>(dim), config);
   store.ids_ = std::move(ids);
   store.row_of_.reserve(store.ids_.size());
   for (size_t row = 0; row < store.ids_.size(); ++row) {
     if (!store.row_of_.emplace(store.ids_[row], row).second) {
-      return Status::IoError("EmbeddingStore::Load: duplicate id " +
-                             std::to_string(store.ids_[row]) + " in " + path);
+      return error("duplicate id " + std::to_string(store.ids_[row]));
     }
   }
   // The embedded structure only matches when the snapshot was saved under
   // the configured kind; otherwise the rows load and the backend rebuilds.
   BinaryReader* aux =
-      version >= kFirstIndexedStoreVersion &&
-              file_kind == static_cast<uint32_t>(config.kind)
-          ? &reader
-          : nullptr;
+      file_kind == static_cast<uint32_t>(config.kind) ? &reader : nullptr;
   if (Status st = store.index_->Restore(std::move(block), aux); !st.ok()) {
     return Status(st.code(),
-                  "EmbeddingStore::Load: " + path + ": " + st.message());
+                  "EmbeddingStore::LoadMmap: " + path + ": " + st.message());
   }
   return store;
 }

@@ -19,10 +19,11 @@
 ///
 /// The retrieval backend is an `AnnIndex` chosen by `core::IndexConfig`
 /// (exact scan, LSH, or IVF) — the store never names a concrete index type,
-/// so swapping backends is a config change, not a code change. Snapshots
-/// embed the backend's structure (v3), and `LoadMmap` serves the vector
-/// block zero-copy out of a memory mapping so a million-vector store opens
-/// in milliseconds.
+/// so swapping backends is a config change, not a code change. The store
+/// snapshot is the one on-disk form of the vectors and the backend's
+/// structure, and `LoadMmap` is its one reader: it serves the vector block
+/// zero-copy out of a memory mapping, so a million-vector store opens in
+/// milliseconds.
 ///
 /// Thread-compatibility: single writer, concurrent readers — Add/Save and
 /// Knn/Find may not overlap. The service's typical shape (one ingest thread,
@@ -80,27 +81,17 @@ class EmbeddingStore {
   /// vectors + index structure, CRC-framed).
   Status Save(const std::string& path) const;
 
-  /// Restores a store written by Save(), reading the whole file. The
-  /// retrieval index is rebuilt from `config`; when the snapshot was saved
-  /// under the same index kind, its serialized structure is reused instead
-  /// of recomputed. v1/v2 snapshots (no embedded index) load with a
-  /// rebuild.
-  static Result<EmbeddingStore> Load(const std::string& path,
-                                     core::IndexConfig config = {});
-
-  /// Like Load() but memory-maps the snapshot and serves the vector block
-  /// zero-copy: the CRC is verified once at open, no vector bytes are
-  /// copied, and the mapping stays alive for the life of the store (see
-  /// common/fs.h MmapFile lifetime rules) — the cold-start path for
-  /// million-vector servers.
+  /// Restores a store written by Save() by memory-mapping the snapshot and
+  /// serving the vector block zero-copy: the CRC is verified once at open,
+  /// no vector bytes are copied, and the mapping stays alive for the life
+  /// of the store (see common/fs.h MmapFile lifetime rules). The retrieval
+  /// index is built from `config`; when the snapshot was saved under the
+  /// same index kind, its serialized structure is adopted instead of
+  /// recomputed, otherwise the backend rebuilds from the rows.
   static Result<EmbeddingStore> LoadMmap(const std::string& path,
                                          core::IndexConfig config = {});
 
  private:
-  static Result<EmbeddingStore> LoadImpl(
-      BinaryReader& reader, const std::string& path,
-      const core::IndexConfig& config, std::shared_ptr<MmapFile> keepalive);
-
   std::unique_ptr<core::AnnIndex> index_;
   std::vector<int64_t> ids_;                  // Row -> trajectory id.
   std::unordered_map<int64_t, size_t> row_of_;  // Trajectory id -> row.

@@ -3,9 +3,11 @@
 // The same contract checks run against exact, LSH, and IVF indexes built
 // through CreateIndex — the factory every serving path uses — so a new
 // backend cannot land without honoring the clamp, snapshot, restore, and
-// stats semantics the serving layer depends on. The shared exact scan is
-// also checked over a store whose rows are split between an mmap'd prefix
-// and an owned tail.
+// stats semantics the serving layer depends on. An index persists only
+// inside an EmbeddingStore snapshot, so the snapshot checks save a store
+// built under each kind and reopen it with LoadMmap. The shared exact scan
+// is also checked over a store whose rows are split between an mmap'd
+// prefix and an owned tail.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +17,6 @@
 #include <vector>
 
 #include "common/cpu.h"
-#include "common/fs.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/ann_index.h"
@@ -117,68 +118,73 @@ TEST_P(AnnIndexConformanceTest, EmptyIndexNeverAborts) {
   EXPECT_EQ(created.value()->Query(probe, 10).size(), 0u);
 }
 
+// An EmbeddingStore over `n` rows of `data` (ids 0..n-1) under `config`.
+serve::EmbeddingStore StoreOf(const IndexConfig& config,
+                              const std::vector<float>& data, size_t n,
+                              size_t d) {
+  serve::EmbeddingStore store(d, config);
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_TRUE(store.Add(static_cast<int64_t>(i), {&data[i * d], d}).ok());
+  }
+  return store;
+}
+
 TEST_P(AnnIndexConformanceTest, SnapshotRoundTripsThroughBothLoaders) {
+  // The store snapshot is the one persisted form of an index, and LoadMmap
+  // its one reader.
   const size_t d = 8;
   const IndexConfig config = ConfigFor(GetParam());
-  auto created = CreateIndex(config, d);
-  ASSERT_TRUE(created.ok());
-  AnnIndex& index = *created.value();
   const std::vector<float> data = RandomRows(100, d, 64);
-  for (size_t i = 0; i < 100; ++i) index.Add({&data[i * d], d});
+  const serve::EmbeddingStore store = StoreOf(config, data, 100, d);
+  const AnnIndex& index = store.index();
 
   // One file per instance: ctest -j runs the exact/lsh/ivf instances as
   // concurrent processes, which must not share a snapshot path.
   const std::string path =
-      TestDir() + "/conf_" + IndexKindName(GetParam()) + ".idx";
-  ASSERT_TRUE(index.Save(path).ok());
-
-  auto loaded = LoadIndex(config, path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  auto mapped = OpenIndexMmap(config, path);
+      TestDir() + "/conf_" + IndexKindName(GetParam()) + ".store";
+  ASSERT_TRUE(store.Save(path).ok());
+  auto mapped = serve::EmbeddingStore::LoadMmap(path, config);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  serve::EmbeddingStore& reopened = mapped.value();
 
   const std::vector<float> probes = RandomRows(5, d, 65);
-  for (AnnIndex* reopened : {loaded.value().get(), mapped.value().get()}) {
-    ASSERT_EQ(reopened->kind(), GetParam());
-    ASSERT_EQ(reopened->Size(), index.Size());
-    for (size_t q = 0; q < 5; ++q) {
-      const KnnResult a = index.Query({&probes[q * d], d}, 7);
-      const KnnResult b = reopened->Query({&probes[q * d], d}, 7);
-      EXPECT_EQ(a.ids, b.ids);
-      EXPECT_EQ(a.distances, b.distances);
-    }
-    // A reopened index keeps growing: Add after restore works and the new
-    // row is immediately queryable.
-    const std::vector<float> extra = RandomRows(1, d, 66);
-    reopened->Add(extra);
-    EXPECT_EQ(reopened->Size(), index.Size() + 1);
-    const KnnResult self = reopened->Query(extra, 1);
-    ASSERT_EQ(self.size(), 1u);
-    EXPECT_EQ(self.ids[0], index.Size());
+  ASSERT_EQ(reopened.index().kind(), GetParam());
+  ASSERT_EQ(reopened.index().Size(), index.Size());
+  for (size_t q = 0; q < 5; ++q) {
+    const KnnResult a = index.Query({&probes[q * d], d}, 7);
+    const KnnResult b = reopened.index().Query({&probes[q * d], d}, 7);
+    EXPECT_EQ(a.ids, b.ids);
+    EXPECT_EQ(a.distances, b.distances);
   }
+  // A reopened index keeps growing: Add after restore works and the new
+  // row is immediately queryable.
+  const std::vector<float> extra = RandomRows(1, d, 66);
+  ASSERT_TRUE(reopened.Add(100, extra).ok());
+  EXPECT_EQ(reopened.index().Size(), index.Size() + 1);
+  const KnnResult self = reopened.index().Query(extra, 1);
+  ASSERT_EQ(self.size(), 1u);
+  EXPECT_EQ(self.ids[0], index.Size());
 }
 
 TEST_P(AnnIndexConformanceTest, CrossKindLoadRebuildsFromRows) {
   // A snapshot saved under any kind loads under any other configured kind:
   // the rows are authoritative, the aux structure is kind-private.
   const size_t d = 8;
-  const IndexConfig config = ConfigFor(GetParam());
-  auto created = CreateIndex(config, d);
-  ASSERT_TRUE(created.ok());
-  AnnIndex& index = *created.value();
   const std::vector<float> data = RandomRows(80, d, 67);
-  for (size_t i = 0; i < 80; ++i) index.Add({&data[i * d], d});
+  const serve::EmbeddingStore store =
+      StoreOf(ConfigFor(GetParam()), data, 80, d);
   const std::string path =
-      TestDir() + "/cross_" + IndexKindName(GetParam()) + ".idx";
-  ASSERT_TRUE(index.Save(path).ok());
+      TestDir() + "/cross_" + IndexKindName(GetParam()) + ".store";
+  ASSERT_TRUE(store.Save(path).ok());
 
   for (const IndexKind other : kAllKinds) {
-    auto reopened = LoadIndex(ConfigFor(other), path);
+    auto reopened = serve::EmbeddingStore::LoadMmap(path, ConfigFor(other));
     ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-    EXPECT_EQ(reopened.value()->kind(), other);
-    ASSERT_EQ(reopened.value()->Size(), 80u);
+    const AnnIndex& index = reopened.value().index();
+    EXPECT_EQ(index.kind(), other);
+    ASSERT_EQ(index.Size(), 80u);
     // Whatever the backend, a stored row's nearest neighbor is itself.
-    const KnnResult self = reopened.value()->Query({&data[3 * d], d}, 1);
+    const KnnResult self = index.Query({&data[3 * d], d}, 1);
     ASSERT_EQ(self.size(), 1u);
     EXPECT_EQ(self.ids[0], 3u);
   }
@@ -342,15 +348,6 @@ TEST(ExactScanStorageTest, MmapPrefixAndOwnedTailMatchAllOwnedRows) {
       }
     }
   }
-}
-
-TEST(IndexFactoryTest, LoadRejectsNonSnapshotFiles) {
-  const std::string path = TestDir() + "/not_an_index";
-  ASSERT_TRUE(WriteFileAtomic(path, "these are not the bytes").ok());
-  EXPECT_FALSE(LoadIndex(IndexConfig{}, path).ok());
-  EXPECT_FALSE(OpenIndexMmap(IndexConfig{}, path).ok());
-  EXPECT_FALSE(LoadIndex(IndexConfig{}, TestDir() + "/missing").ok());
-  EXPECT_FALSE(OpenIndexMmap(IndexConfig{}, TestDir() + "/missing").ok());
 }
 
 }  // namespace

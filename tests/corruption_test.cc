@@ -2,14 +2,18 @@
 // valid durable artifact must fail its load with a clean Status — never a
 // crash, an abort, or a silently wrong in-memory object.
 //
-// Checkpoints and embedding-store snapshots are small enough to mutate
+// Checkpoints and embedding-store snapshots (exact, and a trained IVF store
+// whose centroids and lists sit in the aux) are small enough to mutate
 // exhaustively: truncation at every byte boundary (which includes every
 // field boundary) and a bit flip in every byte. The larger model file is
 // covered at every header/trailer byte plus a stride through the payload.
+// Every artifact has one format version, so a CRC-valid file of an older
+// version is rejected too.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <string>
@@ -41,6 +45,41 @@ std::string Slurp(const std::string& path) {
   return out;
 }
 
+// A two-iteration model: enough for a complete, loadable model file.
+const core::T2Vec& TinyModel() {
+  static const core::T2Vec* model = [] {
+    const eval::ExperimentData data =
+        eval::MakeData(eval::DatasetKind::kPortoLike, 60, 0);
+    core::T2VecConfig config;
+    config.hidden = 16;
+    config.embed_dim = 12;
+    config.layers = 1;
+    config.max_iterations = 2;
+    config.validate_every = 100;
+    config.pretrain_cells = false;
+    config.r1_grid = {0.0};
+    config.r2_grid = {0.0};
+    return new core::T2Vec(
+        core::T2Vec::Train(data.train.trajectories(), config));
+  }();
+  return *model;
+}
+
+// Rewrites the artifact at `path` with its payload edited by `edit` and the
+// format version (the u32 after the magic) set to `version`, then re-frames
+// it through BinaryWriter, so the CRC trailer is valid again.
+void WriteOlderVersion(const std::string& path, uint32_t version,
+                       const std::function<void(std::string*)>& edit) {
+  std::string payload = Slurp(path);
+  ASSERT_GT(payload.size(), kCrcTrailerBytes + 8);
+  payload.resize(payload.size() - kCrcTrailerBytes);
+  edit(&payload);
+  std::memcpy(payload.data() + 4, &version, sizeof(version));
+  BinaryWriter writer(path);
+  writer.WriteRaw(payload.data(), payload.size());
+  ASSERT_TRUE(writer.Finish().ok());
+}
+
 // Applies `load` to every truncation and every per-byte bit flip of `bytes`,
 // asserting each mutation is rejected. Returns the number of mutations.
 size_t ExhaustiveMatrix(const std::string& bytes, const std::string& path,
@@ -51,6 +90,10 @@ size_t ExhaustiveMatrix(const std::string& bytes, const std::string& path,
         << "setup failed";
     const Status status = load(path);
     EXPECT_FALSE(status.ok()) << "truncation at byte " << cut << " accepted";
+    // A prefix of a framed file has no valid trailer, and the reader says so
+    // before any owner parses a field.
+    EXPECT_NE(status.message().find("checksum trailer"), std::string::npos)
+        << "truncation at byte " << cut << ": " << status.ToString();
     ++mutations;
   }
   const size_t payload_end = bytes.size() - kCrcTrailerBytes;
@@ -107,29 +150,20 @@ TEST(CorruptionTest, EmbeddingStoreSurvivesFullMatrix) {
   ASSERT_TRUE(store.Add(200, v1).ok());
   ASSERT_TRUE(store.Save(path).ok());
   const std::string bytes = Slurp(path);
-
-  ASSERT_TRUE(serve::EmbeddingStore::Load(path).ok());
   ASSERT_TRUE(serve::EmbeddingStore::LoadMmap(path).ok());
 
-  // Both loaders face the same matrix: the mmap path verifies the CRC once
-  // at open, so it must reject exactly what the full-read path rejects.
   const size_t n =
-      ExhaustiveMatrix(bytes, path, [](const std::string& p) {
-        return serve::EmbeddingStore::Load(p).status();
-      });
-  EXPECT_EQ(n, 2 * bytes.size());
-  const size_t m =
       ExhaustiveMatrix(bytes, path, [](const std::string& p) {
         return serve::EmbeddingStore::LoadMmap(p).status();
       });
-  EXPECT_EQ(m, 2 * bytes.size());
+  EXPECT_EQ(n, 2 * bytes.size());
 }
 
 TEST(CorruptionTest, IvfIndexSnapshotSurvivesFullMatrix) {
-  // A trained IVF snapshot carries centroids and inverted lists past the
-  // row block — a flip anywhere in that aux structure must be caught by the
-  // CRC, through the full-read loader and the mmap loader alike.
-  const std::string path = TestDir() + "/matrix.idx";
+  // A trained IVF-kind store snapshot carries centroids and inverted lists
+  // past the row block — a flip anywhere in that aux structure must be
+  // caught by the CRC.
+  const std::string path = TestDir() + "/matrix.ivf.store";
   core::IndexConfig config;
   config.kind = core::IndexKind::kIvf;
   config.ivf_nlist = 3;
@@ -138,27 +172,22 @@ TEST(CorruptionTest, IvfIndexSnapshotSurvivesFullMatrix) {
   config.ivf_seed = 9;
   config.ivf_train_per_list = 4;
 
-  auto created = core::CreateIndex(config, 4);
-  ASSERT_TRUE(created.ok());
+  serve::EmbeddingStore store(4, config);
   Rng rng(41);
-  for (size_t i = 0; i < 20; ++i) {
+  for (int64_t id = 0; id < 20; ++id) {
     std::vector<float> row(4);
     for (float& v : row) v = static_cast<float>(rng.Gaussian());
-    created.value()->Add(row);
+    ASSERT_TRUE(store.Add(id, row).ok());
   }
-  ASSERT_TRUE(created.value()->Save(path).ok());
+  ASSERT_TRUE(store.Stats().trained);
+  ASSERT_TRUE(store.Save(path).ok());
   const std::string bytes = Slurp(path);
-  ASSERT_TRUE(core::LoadIndex(config, path).ok());
-  ASSERT_TRUE(core::OpenIndexMmap(config, path).ok());
+  ASSERT_TRUE(serve::EmbeddingStore::LoadMmap(path, config).ok());
 
   const size_t n = ExhaustiveMatrix(bytes, path, [&](const std::string& p) {
-    return core::LoadIndex(config, p).status();
+    return serve::EmbeddingStore::LoadMmap(p, config).status();
   });
   EXPECT_EQ(n, 2 * bytes.size());
-  const size_t m = ExhaustiveMatrix(bytes, path, [&](const std::string& p) {
-    return core::OpenIndexMmap(config, p).status();
-  });
-  EXPECT_EQ(m, 2 * bytes.size());
 }
 
 TEST(CorruptionTest, ModelFileRejectsSampledCorruptions) {
@@ -166,20 +195,7 @@ TEST(CorruptionTest, ModelFileRejectsSampledCorruptions) {
   // covers the cache-entry case (eval/cache.cc additionally falls back to
   // retraining on a rejected entry).
   const std::string path = TestDir() + "/matrix.t2vec";
-  const eval::ExperimentData data =
-      eval::MakeData(eval::DatasetKind::kPortoLike, 60, 0);
-  core::T2VecConfig config;
-  config.hidden = 16;
-  config.embed_dim = 12;
-  config.layers = 1;
-  config.max_iterations = 2;
-  config.validate_every = 100;
-  config.pretrain_cells = false;
-  config.r1_grid = {0.0};
-  config.r2_grid = {0.0};
-  const core::T2Vec model = core::T2Vec::Train(data.train.trajectories(),
-                                               config);
-  ASSERT_TRUE(model.Save(path).ok());
+  ASSERT_TRUE(TinyModel().Save(path).ok());
   const std::string bytes = Slurp(path);
   ASSERT_TRUE(core::T2Vec::Load(path).ok());
 
@@ -197,8 +213,10 @@ TEST(CorruptionTest, ModelFileRejectsSampledCorruptions) {
 
   for (const size_t cut : offsets) {
     ASSERT_TRUE(WriteFileAtomic(path, bytes.substr(0, cut)).ok());
-    EXPECT_FALSE(core::T2Vec::Load(path).ok())
-        << "truncation at byte " << cut << " accepted";
+    const Status status = core::T2Vec::Load(path).status();
+    EXPECT_FALSE(status.ok()) << "truncation at byte " << cut << " accepted";
+    EXPECT_NE(status.message().find("checksum trailer"), std::string::npos)
+        << "truncation at byte " << cut << ": " << status.ToString();
   }
   for (const size_t i : offsets) {
     std::string mutated = bytes;
@@ -222,10 +240,34 @@ TEST(CorruptionTest, EmptyAndGarbageFilesAreRejected) {
         std::string(1024, '\xFF')}) {
     ASSERT_TRUE(WriteFileAtomic(path, contents).ok());
     EXPECT_FALSE(nn::LoadParams(params, path).ok());
-    EXPECT_FALSE(serve::EmbeddingStore::Load(path).ok());
     EXPECT_FALSE(serve::EmbeddingStore::LoadMmap(path).ok());
     EXPECT_FALSE(core::T2Vec::Load(path).ok());
   }
+  EXPECT_FALSE(serve::EmbeddingStore::LoadMmap(TestDir() + "/missing").ok());
+
+  // CRC-valid files of an older format version: each loader reads only the
+  // version its writer emits.
+  auto expect_unsupported = [](const Status& status) {
+    EXPECT_FALSE(status.ok());
+    EXPECT_NE(status.message().find("unsupported version"), std::string::npos)
+        << status.ToString();
+  };
+  const auto unchanged = [](std::string*) {};
+  // A v2 store: a v3 exact store without the index-kind field (bytes
+  // 16..19; an exact index has no aux).
+  serve::EmbeddingStore store(4);
+  ASSERT_TRUE(store.Add(7, std::vector<float>{1.0f, 2.0f, 3.0f, 4.0f}).ok());
+  ASSERT_TRUE(store.Save(path).ok());
+  WriteOlderVersion(path, 2,
+                    [](std::string* payload) { payload->erase(16, 4); });
+  expect_unsupported(serve::EmbeddingStore::LoadMmap(path).status());
+  // A v1 checkpoint and a v1 model: same payload layout as v2.
+  ASSERT_TRUE(nn::SaveParams(params, path).ok());
+  WriteOlderVersion(path, 1, unchanged);
+  expect_unsupported(nn::LoadParams(params, path));
+  ASSERT_TRUE(TinyModel().Save(path).ok());
+  WriteOlderVersion(path, 1, unchanged);
+  expect_unsupported(core::T2Vec::Load(path).status());
 }
 
 }  // namespace

@@ -184,7 +184,6 @@ TEST_F(FsTest, RoundTripIsChecksummedAndExact) {
   }
   BinaryReader reader(path);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  EXPECT_TRUE(reader.checksummed());
   uint32_t tag = 0;
   std::string name;
   std::vector<float> floats;
@@ -203,22 +202,34 @@ TEST_F(FsTest, RoundTripIsChecksummedAndExact) {
   EXPECT_FALSE(reader.ReadPod(&extra));
 }
 
-TEST_F(FsTest, LegacyStreamWithoutTrailerStaysReadable) {
-  const std::string path = Path("legacy.bin");
-  // A pre-framing artifact: raw fields, no trailer.
+// A reader that failed at open for lack of a trailer, naming it, and
+// serving no field.
+void ExpectMissingTrailer(BinaryReader& reader) {
+  EXPECT_FALSE(reader.ok());
+  EXPECT_NE(reader.status().message().find("missing its checksum trailer"),
+            std::string::npos)
+      << reader.status().ToString();
+  uint64_t value = 0;
+  EXPECT_FALSE(reader.ReadPod(&value));
+  EXPECT_EQ(reader.remaining(), 0u);
+}
+
+TEST_F(FsTest, StreamWithoutTrailerIsRejectedAtOpen) {
+  // Raw fields with no trailer (a stream no writer produces): one of 16
+  // bytes, exactly a trailer's size, and shorter ones down to empty.
   std::string raw;
   const uint64_t n = 2;
   const int32_t values[2] = {7, -9};
   raw.append(reinterpret_cast<const char*>(&n), sizeof(n));
   raw.append(reinterpret_cast<const char*>(values), sizeof(values));
-  ASSERT_TRUE(WriteFileAtomic(path, raw).ok());
-
-  BinaryReader reader(path);
-  ASSERT_TRUE(reader.ok());
-  EXPECT_FALSE(reader.checksummed());
-  std::vector<int32_t> decoded;
-  EXPECT_TRUE(reader.ReadVector(&decoded));
-  EXPECT_EQ(decoded, (std::vector<int32_t>{7, -9}));
+  const std::string path = Path("raw.bin");
+  for (const std::string& contents : {raw, raw.substr(0, 5), std::string()}) {
+    ASSERT_TRUE(WriteFileAtomic(path, contents).ok());
+    BinaryReader reader(path);
+    ExpectMissingTrailer(reader);
+    BinaryReader view(contents.data(), contents.size(), path);
+    ExpectMissingTrailer(view);
+  }
 }
 
 TEST_F(FsTest, PayloadBitFlipFailsUpFront) {
@@ -238,10 +249,9 @@ TEST_F(FsTest, PayloadBitFlipFailsUpFront) {
       << reader.status().ToString();
 }
 
-TEST_F(FsTest, StrippedTrailerReadsAsLegacy) {
-  // Truncation that removes exactly the trailer leaves a byte-valid legacy
-  // stream: BinaryReader cannot tell, so versioned owners must reject
-  // "new format version but checksummed() == false".
+TEST_F(FsTest, StrippedTrailerIsRejectedAtOpen) {
+  // Truncation that removes exactly the trailer leaves the payload intact;
+  // the reader still refuses it, so no owner needs a check of its own.
   const std::string path = Path("stream.bin");
   {
     BinaryWriter writer(path);
@@ -253,27 +263,28 @@ TEST_F(FsTest, StrippedTrailerReadsAsLegacy) {
   bytes.resize(bytes.size() - kCrcTrailerBytes);
   ASSERT_TRUE(WriteFileAtomic(path, bytes).ok());
   BinaryReader reader(path);
-  EXPECT_TRUE(reader.ok());
-  EXPECT_FALSE(reader.checksummed());
+  ExpectMissingTrailer(reader);
 }
 
 TEST_F(FsTest, CorruptLengthFieldFailsSoftInsteadOfAllocating) {
   const std::string path = Path("stream.bin");
-  // Legacy-mode stream whose vector length claims ~2^63 elements; the read
-  // must fail cleanly without attempting the allocation.
-  std::string raw;
-  const uint64_t huge = uint64_t{1} << 63;
-  raw.append(reinterpret_cast<const char*>(&huge), sizeof(huge));
-  raw.append("short", 5);
-  ASSERT_TRUE(WriteFileAtomic(path, raw).ok());
-
+  // A CRC-valid stream whose vector length claims ~2^63 elements; the
+  // bounded read must fail cleanly without attempting the allocation.
+  {
+    BinaryWriter writer(path);
+    writer.WritePod<uint64_t>(uint64_t{1} << 63);
+    writer.WriteRaw("short", 5);
+    ASSERT_TRUE(writer.Finish().ok());
+  }
   {
     BinaryReader reader(path);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
     std::vector<double> v;
     EXPECT_FALSE(reader.ReadVector(&v));
   }
   {
     BinaryReader reader(path);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
     std::string s;
     EXPECT_FALSE(reader.ReadString(&s));
   }

@@ -2,12 +2,13 @@
 //
 // The headline guarantees under test:
 //   - build-once, Add-one-at-a-time, and snapshot-replay construction
-//     produce bit-identical indexes (Save bytes memcmp);
+//     produce bit-identical indexes (store Save bytes memcmp);
 //   - results are bit-identical at 1/2/8 threads;
 //   - pre-training queries are exactly VectorIndex's answers, and k is
 //     clamped (over-asking degrades, never aborts);
-//   - snapshots round-trip through both the full-read and the mmap loader,
-//     and corrupted snapshots are rejected with a clean Status.
+//   - an IVF store snapshot round-trips through EmbeddingStore::LoadMmap
+//     (the one persisted form of an index), and corrupted snapshots are
+//     rejected with a clean Status.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +23,7 @@
 #include "core/ann_index.h"
 #include "core/ivf_index.h"
 #include "core/vec_index.h"
+#include "serve/embedding_store.h"
 
 namespace t2vec::core {
 namespace {
@@ -60,8 +62,19 @@ void AddAll(AnnIndex* index, const std::vector<float>& data, size_t d) {
   }
 }
 
-std::string SaveBytes(const AnnIndex& index, const std::string& path) {
-  EXPECT_TRUE(index.Save(path).ok());
+// A store over every row of `data` (ids 0..n-1) under `config`.
+serve::EmbeddingStore StoreOf(const IndexConfig& config,
+                              const std::vector<float>& data, size_t d) {
+  serve::EmbeddingStore store(d, config);
+  for (size_t i = 0; i * d < data.size(); ++i) {
+    EXPECT_TRUE(store.Add(static_cast<int64_t>(i), {&data[i * d], d}).ok());
+  }
+  return store;
+}
+
+std::string SaveBytes(const serve::EmbeddingStore& store,
+                      const std::string& path) {
+  EXPECT_TRUE(store.Save(path).ok());
   std::string bytes;
   EXPECT_TRUE(ReadFileToString(path, &bytes).ok());
   return bytes;
@@ -101,33 +114,29 @@ TEST(IvfIndexTest, RestoreReplayMatchesLiveBuildBitForBit) {
   // Save the rows under kind=exact (no usable IVF aux), reload under
   // kind=ivf: Restore's OnAppend replay must reproduce the live build
   // exactly — training at the same row over the same prefix — so the two
-  // indexes serialize to identical bytes and answer identically.
+  // stores serialize to identical bytes and answer identically.
   const size_t d = 8;
   const std::vector<float> data = RandomRows(120, d, 43);
   const IndexConfig ivf_config = SmallIvfConfig();
 
-  VectorIndex rows_only(d);
-  for (size_t i = 0; i < 120; ++i) rows_only.Add({&data[i * d], d});
-  const std::string exact_path = TestDir() + "/rows.exact.idx";
-  ASSERT_TRUE(rows_only.Save(exact_path).ok());
-
-  auto replayed = LoadIndex(ivf_config, exact_path);
+  const std::string exact_path = TestDir() + "/rows.exact.store";
+  ASSERT_TRUE(StoreOf(IndexConfig{}, data, d).Save(exact_path).ok());
+  auto replayed = serve::EmbeddingStore::LoadMmap(exact_path, ivf_config);
   ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
-  ASSERT_EQ(replayed.value()->kind(), IndexKind::kIvf);
+  ASSERT_EQ(replayed.value().index().kind(), IndexKind::kIvf);
 
-  IvfIndex live(d, ivf_config);
-  AddAll(&live, data, d);
-  const std::string live_bytes = SaveBytes(live, TestDir() + "/live.idx");
+  const serve::EmbeddingStore live = StoreOf(ivf_config, data, d);
+  const std::string live_bytes = SaveBytes(live, TestDir() + "/live.store");
   const std::string replay_bytes =
-      SaveBytes(*replayed.value(), TestDir() + "/replay.idx");
+      SaveBytes(replayed.value(), TestDir() + "/replay.store");
   ASSERT_EQ(live_bytes.size(), replay_bytes.size());
   EXPECT_EQ(std::memcmp(live_bytes.data(), replay_bytes.data(),
                         live_bytes.size()),
             0);
 
   const std::vector<float> probe = RandomRows(1, d, 44);
-  const KnnResult a = live.Query(probe, 7);
-  const KnnResult b = replayed.value()->Query(probe, 7);
+  const KnnResult a = live.index().Query(probe, 7);
+  const KnnResult b = replayed.value().index().Query(probe, 7);
   EXPECT_EQ(a.ids, b.ids);
   EXPECT_EQ(a.distances, b.distances);
 }
@@ -142,14 +151,12 @@ TEST(IvfIndexTest, BitIdenticalAcrossThreadCounts) {
   std::vector<KnnResult> reference_results;
   for (const int threads : {1, 2, 8}) {
     ScopedNumThreads guard(threads);
-    IvfIndex index(d, config);
-    AddAll(&index, data, d);
-    ASSERT_TRUE(index.trained());
-    const std::string bytes =
-        SaveBytes(index, TestDir() + "/threads.idx");
+    const serve::EmbeddingStore store = StoreOf(config, data, d);
+    ASSERT_TRUE(store.Stats().trained);
+    const std::string bytes = SaveBytes(store, TestDir() + "/threads.store");
     std::vector<KnnResult> results;
     for (size_t q = 0; q < 6; ++q) {
-      results.push_back(index.Query({&probes[q * d], d}, 9));
+      results.push_back(store.index().Query({&probes[q * d], d}, 9));
     }
     if (threads == 1) {
       reference_bytes = bytes;
@@ -173,71 +180,63 @@ TEST(IvfIndexTest, SnapshotRoundTripsThroughBothLoaders) {
   const size_t d = 8;
   const std::vector<float> data = RandomRows(90, d, 47);
   const IndexConfig config = SmallIvfConfig();
-  IvfIndex index(d, config);
-  AddAll(&index, data, d);
-  const std::string path = TestDir() + "/roundtrip.idx";
-  const std::string bytes = SaveBytes(index, path);
+  const serve::EmbeddingStore store = StoreOf(config, data, d);
+  const std::string path = TestDir() + "/roundtrip.store";
+  const std::string bytes = SaveBytes(store, path);
 
   // nprobe is a query-time knob and must come from the live config, not the
   // snapshot; structural parameters come from the snapshot.
   IndexConfig wide = config;
   wide.ivf_nprobe = 3;
-
-  auto loaded = LoadIndex(wide, path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  auto mapped = OpenIndexMmap(wide, path);
+  wide.ivf_nlist = 7;
+  auto mapped = serve::EmbeddingStore::LoadMmap(path, wide);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  const auto& reopened = static_cast<const IvfIndex&>(mapped.value().index());
+  ASSERT_EQ(reopened.kind(), IndexKind::kIvf);
+  ASSERT_EQ(reopened.Size(), store.size());
+  EXPECT_TRUE(reopened.trained());
+  EXPECT_EQ(reopened.nlist(), config.ivf_nlist);
+  EXPECT_EQ(reopened.nprobe(), 3u);
+  // Re-serializing a reopened store reproduces the file byte for byte.
+  EXPECT_EQ(SaveBytes(mapped.value(), TestDir() + "/resave.store"), bytes);
+  // Zero-copy: row 0 reads back the saved values out of the mapping.
+  EXPECT_EQ(std::memcmp(reopened.RowPtr(0), data.data(), d * sizeof(float)),
+            0);
 
-  for (AnnIndex* reopened : {loaded.value().get(), mapped.value().get()}) {
-    ASSERT_EQ(reopened->kind(), IndexKind::kIvf);
-    ASSERT_EQ(reopened->Size(), index.Size());
-    auto* ivf = static_cast<IvfIndex*>(reopened);
-    EXPECT_TRUE(ivf->trained());
-    EXPECT_EQ(ivf->nlist(), config.ivf_nlist);
-    EXPECT_EQ(ivf->nprobe(), 3u);
-    // Re-serializing a reopened index reproduces the file byte for byte.
-    EXPECT_EQ(SaveBytes(*reopened, TestDir() + "/resave.idx"), bytes);
-    // Same-nprobe queries match the original index exactly.
-    ivf->set_nprobe(config.ivf_nprobe);
-    const std::vector<float> probe = RandomRows(1, d, 48);
-    const KnnResult a = index.Query(probe, 8);
-    const KnnResult b = reopened->Query(probe, 8);
-    EXPECT_EQ(a.ids, b.ids);
-    EXPECT_EQ(a.distances, b.distances);
-    // Zero-copy check for the mmap path: row 0 reads back the saved values.
-    EXPECT_EQ(std::memcmp(reopened->RowPtr(0), data.data(),
-                          d * sizeof(float)),
-              0);
-  }
+  // Reopened under the original nprobe, queries match the original store
+  // exactly.
+  auto same = serve::EmbeddingStore::LoadMmap(path, config);
+  ASSERT_TRUE(same.ok()) << same.status().ToString();
+  const std::vector<float> probe = RandomRows(1, d, 48);
+  const KnnResult a = store.index().Query(probe, 8);
+  const KnnResult b = same.value().index().Query(probe, 8);
+  EXPECT_EQ(a.ids, b.ids);
+  EXPECT_EQ(a.distances, b.distances);
 }
 
 TEST(IvfIndexTest, CorruptSnapshotsAreRejected) {
   const size_t d = 4;
   const std::vector<float> data = RandomRows(40, d, 49);
   const IndexConfig config = SmallIvfConfig();
-  IvfIndex index(d, config);
-  AddAll(&index, data, d);
-  const std::string path = TestDir() + "/corrupt.idx";
-  const std::string bytes = SaveBytes(index, path);
-  const std::string mutated_path = TestDir() + "/mutated.idx";
+  const serve::EmbeddingStore store = StoreOf(config, data, d);
+  ASSERT_TRUE(store.Stats().trained);
+  const std::string path = TestDir() + "/corrupt.store";
+  const std::string bytes = SaveBytes(store, path);
+  const std::string mutated_path = TestDir() + "/mutated.store";
 
-  // Every truncation and every per-byte bit flip must fail both loaders
-  // with a Status — never a crash or a silently wrong index.
+  // Every truncation and every per-byte bit flip must fail the load with a
+  // Status — never a crash or a silently wrong index.
   for (size_t cut = 0; cut < bytes.size(); ++cut) {
     ASSERT_TRUE(WriteFileAtomic(mutated_path, bytes.substr(0, cut)).ok());
-    EXPECT_FALSE(LoadIndex(config, mutated_path).ok())
+    EXPECT_FALSE(serve::EmbeddingStore::LoadMmap(mutated_path, config).ok())
         << "truncation at byte " << cut << " accepted";
-    EXPECT_FALSE(OpenIndexMmap(config, mutated_path).ok())
-        << "mmap truncation at byte " << cut << " accepted";
   }
   for (size_t i = 0; i < bytes.size(); ++i) {
     std::string mutated = bytes;
     mutated[i] = static_cast<char>(mutated[i] ^ 0x20);
     ASSERT_TRUE(WriteFileAtomic(mutated_path, mutated).ok());
-    EXPECT_FALSE(LoadIndex(config, mutated_path).ok())
+    EXPECT_FALSE(serve::EmbeddingStore::LoadMmap(mutated_path, config).ok())
         << "bit flip at byte " << i << " accepted";
-    EXPECT_FALSE(OpenIndexMmap(config, mutated_path).ok())
-        << "mmap bit flip at byte " << i << " accepted";
   }
 }
 

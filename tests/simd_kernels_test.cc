@@ -19,12 +19,13 @@
 #include "common/fs.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "core/ivf_index.h"
+#include "core/ann_index.h"
 #include "core/model.h"
 #include "nn/attention.h"
 #include "nn/gru.h"
 #include "nn/kernels.h"
 #include "nn/matrix.h"
+#include "serve/embedding_store.h"
 #include "traj/tokenizer.h"
 
 namespace t2vec::nn {
@@ -423,7 +424,8 @@ TEST(SimdDispatchTest, EncodeBatchBitIdenticalAcrossTiersAndThreads) {
 TEST(SimdDispatchTest, IvfIndexBitIdenticalAcrossTiersAndThreads) {
   // The IVF quantizer routes every distance through the dispatched
   // sqdist_f64 kernel; k-means training and probing must therefore produce
-  // the same snapshot bytes and the same neighbors on both tiers.
+  // the same store snapshot bytes (centroids and lists in its aux) and the
+  // same neighbors on both tiers.
   if (!HaveAvx2()) GTEST_SKIP() << "no AVX2 on this machine";
   const size_t d = 16, n = 150;
   Rng rng(27);
@@ -441,16 +443,18 @@ TEST(SimdDispatchTest, IvfIndexBitIdenticalAcrossTiersAndThreads) {
   config.ivf_train_per_list = 8;
 
   const std::string path =
-      std::string(::testing::TempDir()) + "/simd_ivf.idx";
+      std::string(::testing::TempDir()) + "/simd_ivf.store";
   auto run = [&] {
-    core::IvfIndex index(d, config);
-    for (size_t i = 0; i < n; ++i) index.Add({&data[i * d], d});
-    EXPECT_TRUE(index.trained());
-    EXPECT_TRUE(index.Save(path).ok());
+    serve::EmbeddingStore store(d, config);
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_TRUE(store.Add(static_cast<int64_t>(i), {&data[i * d], d}).ok());
+    }
+    EXPECT_TRUE(store.Stats().trained);
+    EXPECT_TRUE(store.Save(path).ok());
     std::string bytes;
     EXPECT_TRUE(ReadFileToString(path, &bytes).ok());
     for (size_t q = 0; q < 4; ++q) {
-      const core::KnnResult r = index.Query({&probes[q * d], d}, 9);
+      const core::KnnResult r = store.index().Query({&probes[q * d], d}, 9);
       bytes.append(reinterpret_cast<const char*>(r.ids.data()),
                    r.ids.size() * sizeof(size_t));
       bytes.append(reinterpret_cast<const char*>(r.distances.data()),

@@ -31,12 +31,16 @@
 #                              background compaction, connection fan-out, and
 #                              the incremental AnnIndex backends — tests ride
 #                              labels, no hand-maintained list)
-#   stage 8  ASan              ctest -L 'kernel|determinism' under
-#                              -fsanitize=address: the SIMD kernels read
-#                              through raw row pointers plus a scalar tail,
-#                              and an over-read there is invisible to UBSan
-#                              and TSan (the index scans, golden digests and
-#                              tier-identity suites all ride these labels)
+#   stage 8  ASan              ctest -L 'kernel|determinism|robustness'
+#                              under -fsanitize=address: the SIMD kernels
+#                              read through raw row pointers plus a scalar
+#                              tail, and an over-read there is invisible to
+#                              UBSan and TSan (the index scans, golden
+#                              digests and tier-identity suites ride the
+#                              first two labels); the corruption matrix and
+#                              the framing tests feed hostile bytes to the
+#                              checksum-trailer parse and every snapshot
+#                              loader (robustness label)
 #   stage 9  UBSan             full ctest under -fsanitize=undefined with
 #                              -fno-sanitize-recover: any UB aborts the test
 #
@@ -119,12 +123,12 @@ T2VEC_THREADS=1 ctest --test-dir "${TSAN_DIR}" -L concurrency \
 T2VEC_THREADS=8 ctest --test-dir "${TSAN_DIR}" -L concurrency \
   --output-on-failure -j "${JOBS}"
 
-echo "== stage 8/9: ASan on kernel + determinism tests (${ASAN_DIR}) =="
+echo "== stage 8/9: ASan on kernel + determinism + robustness tests (${ASAN_DIR}) =="
 cmake -B "${ASAN_DIR}" -S . -DT2VEC_WERROR=ON -DT2VEC_SANITIZE=address \
   >/dev/null
 cmake --build "${ASAN_DIR}" -j "${JOBS}"
-ctest --test-dir "${ASAN_DIR}" -L 'kernel|determinism' --output-on-failure \
-  -j "${JOBS}"
+ctest --test-dir "${ASAN_DIR}" -L 'kernel|determinism|robustness' \
+  --output-on-failure -j "${JOBS}"
 
 echo "== stage 9/9: UBSan (-fno-sanitize-recover) full suite (${UBSAN_DIR}) =="
 cmake -B "${UBSAN_DIR}" -S . -DT2VEC_WERROR=ON -DT2VEC_SANITIZE=undefined \
