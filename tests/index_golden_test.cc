@@ -22,24 +22,25 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdint>
-#include <cstdio>
 #include <limits>
 #include <string>
 #include <vector>
 
-#include "common/cpu.h"
 #include "common/fs.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "core/ann_index.h"
 #include "core/ivf_index.h"
 #include "core/vec_index.h"
+#include "golden.h"
 #include "serve/embedding_store.h"
 
 namespace t2vec::core {
 namespace {
+
+using golden::Digest;
+using golden::ForEachTierAndThreadCount;
+using golden::Hex;
 
 constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
 constexpr float kInf = std::numeric_limits<float>::infinity();
@@ -96,35 +97,6 @@ void AppendAnswer(const KnnResult& r, std::string* bytes) {
     bytes->append(reinterpret_cast<const char*>(&r.distances[i]),
                   sizeof(double));
   }
-}
-
-std::string Hex(uint32_t crc) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "0x%08" PRIx32, crc);
-  return buf;
-}
-
-uint32_t Digest(const std::string& bytes) {
-  return Crc32c(0, bytes.data(), bytes.size());
-}
-
-// Runs `body` on every SIMD tier this machine has, at 1 and 3 threads.
-template <typename Fn>
-void ForEachTierAndThreadCount(const Fn& body) {
-  const SimdTier prev = ActiveSimdTier();
-  for (const SimdTier tier : {SimdTier::kScalar, SimdTier::kAvx2}) {
-    if (!SimdTierSupported(tier)) continue;
-    SetSimdTier(tier);
-    for (const int threads : {1, 3}) {
-      ScopedNumThreads guard(threads);
-      SCOPED_TRACE(std::string("tier ") + (tier == SimdTier::kAvx2
-                                               ? "avx2"
-                                               : "scalar") +
-                   ", " + std::to_string(threads) + " threads");
-      body();
-    }
-  }
-  SetSimdTier(prev);
 }
 
 class IndexGoldenTest : public ::testing::Test {
