@@ -146,14 +146,6 @@ double EncoderDecoder::RunBatch(const Batch& batch, SeqLoss* loss,
   return total_loss;
 }
 
-namespace {
-
-// The packed, step-major inference forward shared by the fp32 and int8
-// encoders (`Stack` is nn::Gru or nn::QuantizedGru). Rows are stably sorted
-// longest first; step t embeds only the tokens of the rows still active and
-// the stack advances that prefix, so no row is padded or masked. Each row's
-// final state is scattered back to its input position; empty sequences
-// keep the zero vector.
 template <typename Stack>
 nn::Matrix EncodePacked(const nn::Embedding& embedding, const Stack& stack,
                         const std::vector<traj::TokenSeq>& seqs) {
@@ -191,7 +183,10 @@ nn::Matrix EncodePacked(const nn::Embedding& embedding, const Stack& stack,
   return out;
 }
 
-}  // namespace
+template nn::Matrix EncodePacked(const nn::Embedding&, const nn::Gru&,
+                                 const std::vector<traj::TokenSeq>&);
+template nn::Matrix EncodePacked(const nn::Embedding&, const nn::QuantizedGru&,
+                                 const std::vector<traj::TokenSeq>&);
 
 nn::Matrix EncoderDecoder::EncodeBatch(
     const std::vector<traj::TokenSeq>& seqs) const {

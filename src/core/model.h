@@ -97,6 +97,18 @@ class EncoderDecoder {
   int num_threads_ = 0;
 };
 
+/// The packed, step-major inference forward behind every encoder: the fp32
+/// and int8 t2vec encoders and the VRNN baseline (`Stack` is nn::Gru or
+/// nn::QuantizedGru). Rows are stably sorted longest first; step t embeds
+/// only the tokens of the rows still active and the stack advances that
+/// prefix, so no row is padded or masked. Returns an N x hidden matrix
+/// whose row i is the top layer's state after the last token of seqs[i]
+/// (the zero vector for an empty sequence), with the same bits whatever
+/// the other sequences are, at any thread count.
+template <typename Stack>
+nn::Matrix EncodePacked(const nn::Embedding& embedding, const Stack& stack,
+                        const std::vector<traj::TokenSeq>& seqs);
+
 /// int8 inference twin of the encoder half: fp32 embedding lookups feeding a
 /// quantized GRU stack (nn/quant.h). Weights are captured (quantized) at
 /// construction from a trained model — typically once at serving-load time;

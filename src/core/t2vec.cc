@@ -152,7 +152,8 @@ traj::TokenSeq T2Vec::TokenizeForEncoder(const traj::Trajectory& trip) const {
   return seq;
 }
 
-nn::Matrix T2Vec::Encode(const std::vector<traj::Trajectory>& trips) const {
+nn::Matrix T2Vec::EncodeSlices(const std::vector<traj::Trajectory>& trips,
+                               const BatchEncoder& encode_batch) const {
   // Encode in slices to bound the batch's buffers. Slices are independent
   // (the forward pass is const and each slice writes a disjoint row range of
   // `out`), so they parallelize with results bit-identical to a serial run.
@@ -169,7 +170,7 @@ nn::Matrix T2Vec::Encode(const std::vector<traj::Trajectory>& trips) const {
         for (size_t i = start; i < end; ++i) {
           seqs.push_back(TokenizeForEncoder(trips[i]));
         }
-        const nn::Matrix block = model_->EncodeBatch(seqs);
+        const nn::Matrix block = encode_batch(seqs);
         for (size_t i = start; i < end; ++i) {
           std::copy(block.Row(i - start), block.Row(i - start) + block.cols(),
                     out.Row(i));
@@ -177,6 +178,12 @@ nn::Matrix T2Vec::Encode(const std::vector<traj::Trajectory>& trips) const {
       },
       config_.num_threads);
   return out;
+}
+
+nn::Matrix T2Vec::Encode(const std::vector<traj::Trajectory>& trips) const {
+  return EncodeSlices(trips, [this](const std::vector<traj::TokenSeq>& seqs) {
+    return model_->EncodeBatch(seqs);
+  });
 }
 
 std::vector<float> T2Vec::EncodeOne(const traj::Trajectory& trip) const {
@@ -206,30 +213,10 @@ nn::Matrix T2Vec::EncodeQuantizedTokenized(
 
 nn::Matrix T2Vec::EncodeQuantized(
     const std::vector<traj::Trajectory>& trips) const {
-  // Same slice scheme as Encode: disjoint row ranges, bit-identical to a
-  // serial run at any thread count.
-  constexpr size_t kSlice = 256;
   const QuantizedEncoder& enc = Quantized();  // Build before going parallel.
-  nn::Matrix out(trips.size(), model_->hidden());
-  const size_t num_slices = (trips.size() + kSlice - 1) / kSlice;
-  ParallelFor(
-      0, num_slices, 1,
-      [&](size_t s) {
-        const size_t start = s * kSlice;
-        const size_t end = std::min(start + kSlice, trips.size());
-        std::vector<traj::TokenSeq> seqs;
-        seqs.reserve(end - start);
-        for (size_t i = start; i < end; ++i) {
-          seqs.push_back(TokenizeForEncoder(trips[i]));
-        }
-        const nn::Matrix block = enc.EncodeBatch(seqs);
-        for (size_t i = start; i < end; ++i) {
-          std::copy(block.Row(i - start), block.Row(i - start) + block.cols(),
-                    out.Row(i));
-        }
-      },
-      config_.num_threads);
-  return out;
+  return EncodeSlices(trips, [&enc](const std::vector<traj::TokenSeq>& seqs) {
+    return enc.EncodeBatch(seqs);
+  });
 }
 
 double T2Vec::Distance(const traj::Trajectory& a,

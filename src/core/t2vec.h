@@ -1,6 +1,7 @@
 #ifndef T2VEC_CORE_T2VEC_H_
 #define T2VEC_CORE_T2VEC_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -120,6 +121,16 @@ class T2Vec {
   /// Tokenizes a trajectory the way the encoder expects (reversed when
   /// config_.reverse_source is set).
   traj::TokenSeq TokenizeForEncoder(const traj::Trajectory& trip) const;
+
+  /// An fp32 or int8 EncodeBatch over one slice of token sequences.
+  using BatchEncoder =
+      std::function<nn::Matrix(const std::vector<traj::TokenSeq>&)>;
+
+  /// The slice loop behind Encode and EncodeQuantized: tokenizes `trips`
+  /// and runs `encode_batch` over 256-trip slices on the pool. Row i of the
+  /// result is trip i's vector, bit-identical at any thread count.
+  nn::Matrix EncodeSlices(const std::vector<traj::Trajectory>& trips,
+                          const BatchEncoder& encode_batch) const;
 
   /// The cached quantized encoder, building it on first call.
   const QuantizedEncoder& Quantized() const;

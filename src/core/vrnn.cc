@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "common/sort.h"
+#include "core/model.h"
 #include "nn/optimizer.h"
 
 namespace t2vec::core {
@@ -111,32 +112,7 @@ double VRnn::Train(const std::vector<traj::TokenSeq>& seqs, size_t iterations,
 }
 
 nn::Matrix VRnn::EncodeBatch(const std::vector<traj::TokenSeq>& seqs) const {
-  const size_t n = seqs.size();
-  nn::Matrix out(n, hidden());
-  if (n == 0) return out;
-  size_t max_len = 0;
-  for (const traj::TokenSeq& s : seqs) max_len = std::max(max_len, s.size());
-  if (max_len == 0) return out;
-
-  std::vector<std::vector<geo::Token>> steps(
-      max_len, std::vector<geo::Token>(n, geo::kPadToken));
-  std::vector<std::vector<float>> masks(max_len, std::vector<float>(n, 0.0f));
-  for (size_t b = 0; b < n; ++b) {
-    for (size_t t = 0; t < seqs[b].size(); ++t) {
-      steps[t][b] = seqs[b][t];
-      masks[t][b] = 1.0f;
-    }
-  }
-  std::vector<nn::Matrix> xs(max_len);
-  for (size_t t = 0; t < max_len; ++t) embedding_.Forward(steps[t], &xs[t]);
-  nn::Gru::ForwardResult result;
-  gru_.Forward(xs, nullptr, masks, &result);
-  const nn::Matrix& top = result.final_state.h.back();
-  for (size_t b = 0; b < n; ++b) {
-    if (seqs[b].empty()) continue;
-    std::copy(top.Row(b), top.Row(b) + hidden(), out.Row(b));
-  }
-  return out;
+  return EncodePacked(embedding_, gru_, seqs);
 }
 
 nn::ParamList VRnn::Params() {

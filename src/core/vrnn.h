@@ -33,7 +33,8 @@ class VRnn {
   double Train(const std::vector<traj::TokenSeq>& seqs, size_t iterations,
                Rng& rng);
 
-  /// Encodes sequences into an N x hidden matrix of final hidden states.
+  /// Encodes sequences into an N x hidden matrix of final hidden states
+  /// through the packed encoder forward (core/model.h EncodePacked).
   nn::Matrix EncodeBatch(const std::vector<traj::TokenSeq>& seqs) const;
 
   size_t hidden() const { return gru_.hidden(); }

@@ -132,46 +132,26 @@ void GruLayer::Step(ConstMatrixView x, ConstMatrixView h_prev,
               h_prev.cols == dim && h.rows == x.rows && h.cols == dim &&
               pre.rows == x.rows && pre.cols == 3 * dim);
 
-  if (FusedKernelsEnabled()) {
-    RefreshPacks();
-    const PackCache& pc = *packs_;
-    // [pre_c | pre_z | pre_r] = x [Wc|Wz|Wr]; then the z/r blocks get the
-    // hidden-state term in one GEMM over [Uz|Ur]. Identical per-element
-    // accumulation chains as the per-gate calls below (nn/matrix.h).
-    GemmV(x, pc.w_pack, pre);
-    GemmV(h_prev, pc.u_pack, ColBlock(pre, dim, 2 * dim), 1.0f, 1.0f);
+  RefreshPacks();
+  const PackCache& pc = *packs_;
+  // [pre_c | pre_z | pre_r] = x [Wc|Wz|Wr]; then the z/r blocks get the
+  // hidden-state term in one GEMM over [Uz|Ur]. Each element's chain is the
+  // x term, then the h term, then the bias, as in Cho et al.'s per-gate
+  // equations (nn/gru.h).
+  GemmV(x, pc.w_pack, pre);
+  GemmV(h_prev, pc.u_pack, ColBlock(pre, dim, 2 * dim), 1.0f, 1.0f);
 
-    AddRowBroadcastV(ColBlock(pre, dim, dim), bz_.value);
-    SigmoidV(ColBlock(pre, dim, dim), g.z);
+  AddRowBroadcastV(ColBlock(pre, dim, dim), bz_.value);
+  SigmoidV(ColBlock(pre, dim, dim), g.z);
 
-    AddRowBroadcastV(ColBlock(pre, 2 * dim, dim), br_.value);
-    SigmoidV(ColBlock(pre, 2 * dim, dim), g.r);
+  AddRowBroadcastV(ColBlock(pre, 2 * dim, dim), br_.value);
+  SigmoidV(ColBlock(pre, 2 * dim, dim), g.r);
 
-    HadamardV(g.r, h_prev, g.rh);
-    GemmV(g.rh, uc_.value, ColBlock(pre, 0, dim), 1.0f, 1.0f);
-    AddRowBroadcastV(ColBlock(pre, 0, dim), bc_.value);
-    TanhV(ColBlock(pre, 0, dim), g.c);
-  } else {
-    const MatrixView gate_pre = ColBlock(pre, 0, dim);  // Reused per gate.
-    // z = sigmoid(x Wz + h_prev Uz + bz)
-    GemmV(x, wz_.value, gate_pre);
-    GemmV(h_prev, uz_.value, gate_pre, 1.0f, 1.0f);
-    AddRowBroadcastV(gate_pre, bz_.value);
-    SigmoidV(gate_pre, g.z);
-
-    // r = sigmoid(x Wr + h_prev Ur + br)
-    GemmV(x, wr_.value, gate_pre);
-    GemmV(h_prev, ur_.value, gate_pre, 1.0f, 1.0f);
-    AddRowBroadcastV(gate_pre, br_.value);
-    SigmoidV(gate_pre, g.r);
-
-    // c = tanh(x Wc + (r ⊙ h_prev) Uc + bc)
-    HadamardV(g.r, h_prev, g.rh);
-    GemmV(x, wc_.value, gate_pre);
-    GemmV(g.rh, uc_.value, gate_pre, 1.0f, 1.0f);
-    AddRowBroadcastV(gate_pre, bc_.value);
-    TanhV(gate_pre, g.c);
-  }
+  // c = tanh(x Wc + (r ⊙ h⁻) Uc + bc): Uc consumes r, so it runs last.
+  HadamardV(g.r, h_prev, g.rh);
+  GemmV(g.rh, uc_.value, ColBlock(pre, 0, dim), 1.0f, 1.0f);
+  AddRowBroadcastV(ColBlock(pre, 0, dim), bc_.value);
+  TanhV(ColBlock(pre, 0, dim), g.c);
   GruStateUpdate(g.z, g.c, h_prev, h);
 }
 
@@ -217,31 +197,21 @@ void GruLayer::Backward(const std::vector<Matrix>& xs, const Matrix& h0,
 
   d_xs->resize(steps);
 
-  const bool fused = FusedKernelsEnabled();
-  if (fused) RefreshPacks();
+  RefreshPacks();
   const PackCache& pc = *packs_;
 
   Matrix dh(batch, dim);        // Running gradient on h_t.
   Matrix dh_prev(batch, dim);   // Gradient flowing to h_{t-1}.
   Matrix dh_raw(batch, dim);    // Gradient on the pre-mask hidden.
   Matrix dz(batch, dim), dc(batch, dim), dr(batch, dim);
-  Matrix dz_pre, dc_pre, dr_pre;  // Unfused per-gate buffers.
   Matrix drh(batch, dim);
-  Matrix d3;                    // Fused: [dc_pre | dz_pre | dr_pre], B x 3H.
-  Matrix wg_pack, ug_pack;      // Fused gradient accumulators.
-
-  if (fused) {
-    d3.Resize(batch, 3 * dim);
-    // Seed the packed accumulators from the named gradients so fused
-    // accumulation continues the exact same per-element chains; copied back
-    // (bitwise) after the loop.
-    PackColumns({&wc_.grad, &wz_.grad, &wr_.grad}, &wg_pack);
-    PackColumns({&uz_.grad, &ur_.grad}, &ug_pack);
-  } else {
-    dz_pre.Resize(batch, dim);
-    dc_pre.Resize(batch, dim);
-    dr_pre.Resize(batch, dim);
-  }
+  Matrix d3(batch, 3 * dim);    // [dc_pre | dz_pre | dr_pre], B x 3H.
+  // Packed gradient accumulators, seeded from the named gradients so the
+  // accumulation continues their per-element chains; copied back (bitwise)
+  // after the loop.
+  Matrix wg_pack, ug_pack;
+  PackColumns({&wc_.grad, &wz_.grad, &wr_.grad}, &wg_pack);
+  PackColumns({&uz_.grad, &ur_.grad}, &ug_pack);
 
   if (d_h_last != nullptr) {
     T2VEC_CHECK(SameShape(*d_h_last, dh));
@@ -302,75 +272,38 @@ void GruLayer::Backward(const std::vector<Matrix>& xs, const Matrix& h0,
     Matrix& dx = (*d_xs)[t];
     dx.Resize(batch, in_dim());
 
-    if (fused) {
-      // Pre-activation gradients land directly in the packed d3 blocks.
-      TanhBackwardV(c, dc, ColBlock(&d3, 0, dim));
-      const ConstMatrixView dc_pre_v = ColBlock(d3, 0, dim);
-      drh.Resize(batch, dim);
-      GemmTransBV(dc_pre_v, uc_.value, drh);
-      Hadamard(drh, h_prev, &dr);
-      HadamardAccum(drh, r, &dh_prev);
-      SigmoidBackwardV(z, dz, ColBlock(&d3, dim, dim));
-      SigmoidBackwardV(r, dr, ColBlock(&d3, 2 * dim, dim));
+    // Pre-activation gradients land directly in the packed d3 blocks.
+    TanhBackwardV(c, dc, ColBlock(&d3, 0, dim));
+    const ConstMatrixView dc_pre = ColBlock(d3, 0, dim);
+    // rh = r ⊙ h_prev: drh = dc_pre Uc^T; dr = drh ⊙ h_prev;
+    // dh_prev += drh ⊙ r.
+    GemmTransBV(dc_pre, uc_.value, drh);
+    Hadamard(drh, h_prev, &dr);
+    HadamardAccum(drh, r, &dh_prev);
+    SigmoidBackwardV(z, dz, ColBlock(&d3, dim, dim));
+    SigmoidBackwardV(r, dr, ColBlock(&d3, 2 * dim, dim));
 
-      // One TransA per operand: dW_pack += x^T d3, dU_pack += h⁻^T [dz|dr],
-      // dUc += rh^T dc_pre.
-      GemmTransAV(x, d3, wg_pack, 1.0f, 1.0f);
-      GemmTransAV(h_prev, ColBlock(d3, dim, 2 * dim), ug_pack, 1.0f, 1.0f);
-      GemmTransAV(cache.rh[t], dc_pre_v, uc_.grad, 1.0f, 1.0f);
-      SumRowsIntoV(dc_pre_v, &bc_.grad);
-      SumRowsIntoV(ColBlock(d3, dim, dim), &bz_.grad);
-      SumRowsIntoV(ColBlock(d3, 2 * dim, dim), &br_.grad);
+    // One TransA per operand: dW_pack += x^T d3, dU_pack += h⁻^T [dz|dr],
+    // dUc += rh^T dc_pre.
+    GemmTransAV(x, d3, wg_pack, 1.0f, 1.0f);
+    GemmTransAV(h_prev, ColBlock(d3, dim, 2 * dim), ug_pack, 1.0f, 1.0f);
+    GemmTransAV(cache.rh[t], dc_pre, uc_.grad, 1.0f, 1.0f);
+    SumRowsIntoV(dc_pre, &bc_.grad);
+    SumRowsIntoV(ColBlock(d3, dim, dim), &bz_.grad);
+    SumRowsIntoV(ColBlock(d3, 2 * dim, dim), &br_.grad);
 
-      // dx = d3 [Wc|Wz|Wr]^T and dh_prev += [dz|dr] [Uz|Ur]^T, each as one
-      // segmented GEMM whose per-segment chain equals the three (two)
-      // separate beta=1 calls in the unfused branch — the pack keeps the
-      // historical candidate-first accumulation order.
-      GemmTransBV(d3, pc.w_pack, dx, 1.0f, 0.0f, dim);
-      GemmTransBV(ColBlock(d3, dim, 2 * dim), pc.u_pack, dh_prev, 1.0f, 1.0f,
-                  dim);
-    } else {
-      // Through the candidate tanh.
-      TanhBackward(c, dc, &dc_pre);
-      // dWc += x^T dc_pre; dUc += rh^T dc_pre; dbc += colsum(dc_pre).
-      GemmTransA(x, dc_pre, &wc_.grad, 1.0f, 1.0f);
-      GemmTransA(cache.rh[t], dc_pre, &uc_.grad, 1.0f, 1.0f);
-      SumRowsInto(dc_pre, &bc_.grad);
-      // dx = dc_pre Wc^T (first contribution); drh = dc_pre Uc^T.
-      GemmTransB(dc_pre, wc_.value, &dx);
-      drh.Resize(batch, dim);
-      GemmTransB(dc_pre, uc_.value, &drh);
-
-      // rh = r ⊙ h_prev: dr = drh ⊙ h_prev; dh_prev += drh ⊙ r.
-      Hadamard(drh, h_prev, &dr);
-      HadamardAccum(drh, r, &dh_prev);
-
-      // Through the gate sigmoids.
-      SigmoidBackward(z, dz, &dz_pre);
-      SigmoidBackward(r, dr, &dr_pre);
-
-      // Update-gate path.
-      GemmTransA(x, dz_pre, &wz_.grad, 1.0f, 1.0f);
-      GemmTransA(h_prev, dz_pre, &uz_.grad, 1.0f, 1.0f);
-      SumRowsInto(dz_pre, &bz_.grad);
-      GemmTransB(dz_pre, wz_.value, &dx, 1.0f, 1.0f);
-      GemmTransB(dz_pre, uz_.value, &dh_prev, 1.0f, 1.0f);
-
-      // Reset-gate path.
-      GemmTransA(x, dr_pre, &wr_.grad, 1.0f, 1.0f);
-      GemmTransA(h_prev, dr_pre, &ur_.grad, 1.0f, 1.0f);
-      SumRowsInto(dr_pre, &br_.grad);
-      GemmTransB(dr_pre, wr_.value, &dx, 1.0f, 1.0f);
-      GemmTransB(dr_pre, ur_.value, &dh_prev, 1.0f, 1.0f);
-    }
+    // dx = d3 [Wc|Wz|Wr]^T and dh_prev += [dz|dr] [Uz|Ur]^T, each one GEMM
+    // segmented per gate (nn/matrix.h GemmTransBV): the chain is candidate,
+    // then update, then reset gate, the order the golden digests pin.
+    GemmTransBV(d3, pc.w_pack, dx, 1.0f, 0.0f, dim);
+    GemmTransBV(ColBlock(d3, dim, 2 * dim), pc.u_pack, dh_prev, 1.0f, 1.0f,
+                dim);
 
     dh = dh_prev;
   }
 
-  if (fused) {
-    UnpackColumns(wg_pack, {&wc_.grad, &wz_.grad, &wr_.grad});
-    UnpackColumns(ug_pack, {&uz_.grad, &ur_.grad});
-  }
+  UnpackColumns(wg_pack, {&wc_.grad, &wz_.grad, &wr_.grad});
+  UnpackColumns(ug_pack, {&uz_.grad, &ur_.grad});
 
   if (d_h0 != nullptr) *d_h0 = dh;
 }

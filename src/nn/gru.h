@@ -115,11 +115,11 @@ class GruLayer {
   ParamList Params();
 
  private:
-  /// Cached fused weight packs (`[Wc|Wz|Wr]` and `[Uz|Ur]`; candidate first
-  /// to preserve the historical dx accumulation order). The named
-  /// parameters stay the checkpoint format; the packs are a derived layout
-  /// that lets Forward/Backward issue one GEMM per input and one per hidden
-  /// state instead of three. Stamped with the global ParamVersion() they
+  /// Cached weight packs (`[Wc|Wz|Wr]` and `[Uz|Ur]`; candidate first, the
+  /// dx accumulation order the golden digests pin). The named parameters
+  /// stay the checkpoint format; the packs are a derived layout that lets
+  /// Step/Backward issue one GEMM per input and one per hidden state instead
+  /// of one per gate. Stamped with the global ParamVersion() they
   /// were built at and rebuilt lazily after any optimizer step / checkpoint
   /// load (nn/parameter.h). T2Vec::Encode runs Forward concurrently from
   /// pool workers, so rebuilds are double-checked: the packs are written

@@ -1,7 +1,6 @@
 #include "nn/matrix.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 
@@ -40,8 +39,6 @@ std::string Matrix::ToString(size_t max_rows, size_t max_cols) const {
 }
 
 namespace {
-
-std::atomic<bool> g_fused_kernels{true};
 
 // ---------------------------------------------------------------------------
 // Blocked GEMM kernels.
@@ -240,8 +237,8 @@ constexpr size_t kIT = 4;  // a-rows sharing one b-row stream.
 
 // Segment chain shared by every TransB path: v = beta-term, then
 // v = fma(alpha, dot_segment, v) per consecutive k-segment — exactly the
-// chain produced by separate beta=1 calls, which is what makes fused packed
-// matmuls bit-identical to per-gate ones.
+// chain produced by separate beta=1 calls, so a matmul over packed gate
+// weights keeps the order of one call per gate.
 void TransBRange(const KernelOps& ops, const float* a, size_t lda,
                  const float* b, size_t ldb, float* c, size_t ldc, size_t i0,
                  size_t i1, size_t j0, size_t j1, size_t k, float alpha,
@@ -370,26 +367,12 @@ void GemmTransB(const Matrix& a, const Matrix& b, Matrix* out, float alpha,
   GemmTransBV(a, b, MatrixView(*out), alpha, beta);
 }
 
-void SetFusedKernels(bool on) { g_fused_kernels.store(on); }
-
-bool FusedKernelsEnabled() { return g_fused_kernels.load(); }
-
 void AddInPlace(Matrix* out, const Matrix& a) {
   T2VEC_CHECK(SameShape(*out, a));
   float* __restrict o = out->data();
   const float* __restrict x = a.data();
   const size_t n = a.size();
   for (size_t i = 0; i < n; ++i) o[i] += x[i];
-}
-
-void Add(const Matrix& a, const Matrix& b, Matrix* out) {
-  T2VEC_CHECK(SameShape(a, b));
-  out->Resize(a.rows(), a.cols());
-  const float* __restrict x = a.data();
-  const float* __restrict y = b.data();
-  float* __restrict o = out->data();
-  const size_t n = a.size();
-  for (size_t i = 0; i < n; ++i) o[i] = x[i] + y[i];
 }
 
 void Axpy(float scale, const Matrix& a, Matrix* out) {
@@ -406,16 +389,6 @@ void Scale(Matrix* out, float scale) {
   for (size_t i = 0; i < n; ++i) o[i] *= scale;
 }
 
-void AddRowBroadcast(Matrix* out, const Matrix& bias) {
-  T2VEC_CHECK(bias.rows() == 1 && bias.cols() == out->cols());
-  const float* __restrict b = bias.data();
-  const size_t n = out->cols();
-  for (size_t r = 0; r < out->rows(); ++r) {
-    float* __restrict o = out->Row(r);
-    for (size_t j = 0; j < n; ++j) o[j] += b[j];
-  }
-}
-
 void SumRowsIntoV(ConstMatrixView grad, Matrix* bias_grad) {
   T2VEC_CHECK(bias_grad->rows() == 1 && bias_grad->cols() == grad.cols);
   float* __restrict b = bias_grad->data();
@@ -424,10 +397,6 @@ void SumRowsIntoV(ConstMatrixView grad, Matrix* bias_grad) {
     const float* __restrict g = grad.Row(r);
     for (size_t j = 0; j < n; ++j) b[j] += g[j];
   }
-}
-
-void SumRowsInto(const Matrix& grad, Matrix* bias_grad) {
-  SumRowsIntoV(grad, bias_grad);
 }
 
 void HadamardV(ConstMatrixView a, ConstMatrixView b, MatrixView out) {
@@ -455,11 +424,6 @@ void HadamardAccum(const Matrix& a, const Matrix& b, Matrix* out) {
   float* __restrict o = out->data();
   const size_t n = a.size();
   for (size_t i = 0; i < n; ++i) o[i] += x[i] * y[i];
-}
-
-double Dot(const Matrix& a, const Matrix& b) {
-  T2VEC_CHECK(SameShape(a, b));
-  return Kernels().dot_f64(a.data(), b.data(), a.size());
 }
 
 float MaxAbsDiff(const Matrix& a, const Matrix& b) {

@@ -22,9 +22,8 @@
 ///  - The GEMM kernels are cache-blocked, register-tiled, and partition
 ///    output rows across the deterministic thread pool. Every output element
 ///    is accumulated in a fixed order (see "Determinism" below), so results
-///    are bit-identical to a serial run at any thread count and identical
-///    whether gate matrices are fused into packed buffers or multiplied one
-///    by one (DESIGN.md "Kernels").
+///    are bit-identical to a serial run at any thread count (DESIGN.md
+///    "Kernels").
 ///
 /// Determinism contract of the kernel layer:
 ///  - `Gemm`/`GemmTransA`: element (i, j) is the fp32 chain
@@ -33,10 +32,10 @@
 ///    so blocking, tiling, and row partitioning cannot change the result.
 ///  - `GemmTransB`: element (i, j) reduces along the contiguous dimension
 ///    with a fixed 8-lane split (`DotLanes`), again identical across block
-///    sizes and thread counts. The `segments` parameter chains several
-///    consecutive k-segments exactly like back-to-back `beta = 1` calls, so
-///    a fused matmul over packed `[Wz|Wr|Wc]` reproduces the three separate
-///    per-gate calls bit-for-bit.
+///    sizes and thread counts. The `segment` parameter chains several
+///    consecutive k-segments exactly like back-to-back `beta = 1` calls; the
+///    GRU backward uses it to keep the per-gate accumulation order that its
+///    golden digests pin (tests/model_golden_test.cc).
 ///  - All accumulations use `std::fma`, so results do not depend on whether
 ///    the compiler contracts a particular loop.
 /// Caveat: unlike the pre-blocking kernels, zero entries of `a` are no
@@ -132,8 +131,8 @@ inline bool SameShape(const Matrix& a, const Matrix& b) {
 
 // ---------------------------------------------------------------------------
 // Strided views. A view is a non-owning rows x cols window whose consecutive
-// rows are `ld` floats apart; they let the fused GRU/attention paths run
-// GEMMs directly on column blocks of packed buffers without copies.
+// rows are `ld` floats apart; they let the GRU and attention run GEMMs
+// directly on column blocks of packed buffers without copies.
 // ---------------------------------------------------------------------------
 
 /// Mutable view of a row-major block with leading dimension `ld`.
@@ -213,9 +212,9 @@ void GemmTransAV(ConstMatrixView a, ConstMatrixView b, MatrixView out,
 ///
 /// `segment` (0 = whole k) splits the reduction into consecutive segments of
 /// that length, chained exactly like separate `beta = 1` calls per segment:
-/// `v = beta-term; for each segment s: v = fma(alpha, dot_s, v)`. The fused
-/// gate path uses `segment = hidden` over packed `[Wz|Wr|Wc]` so it matches
-/// the per-gate calls bit-for-bit.
+/// `v = beta-term; for each segment s: v = fma(alpha, dot_s, v)`. The GRU
+/// backward passes `segment = hidden` over its packed `[Wc|Wz|Wr]`, which
+/// reproduces the order of one call per gate.
 void GemmTransBV(ConstMatrixView a, ConstMatrixView b, MatrixView out,
                  float alpha = 1.0f, float beta = 0.0f, size_t segment = 0);
 
@@ -228,25 +227,11 @@ void GemmTransB(const Matrix& a, const Matrix& b, Matrix* out,
                 float alpha = 1.0f, float beta = 0.0f);
 
 // ---------------------------------------------------------------------------
-// Kernel configuration.
-// ---------------------------------------------------------------------------
-
-/// Enables/disables the fused packed-weight matmul paths (GRU gates,
-/// attention batching, packed linear/NCE scoring). On by default; the off
-/// position issues the same kernels once per gate/step and exists so tests
-/// can assert the two paths are bit-identical. Thread-safe.
-void SetFusedKernels(bool on);
-bool FusedKernelsEnabled();
-
-// ---------------------------------------------------------------------------
 // Elementwise / rowwise helpers.
 // ---------------------------------------------------------------------------
 
 /// out += a (shapes must match).
 void AddInPlace(Matrix* out, const Matrix& a);
-
-/// out = a + b.
-void Add(const Matrix& a, const Matrix& b, Matrix* out);
 
 /// out += scale * a.
 void Axpy(float scale, const Matrix& a, Matrix* out);
@@ -254,11 +239,7 @@ void Axpy(float scale, const Matrix& a, Matrix* out);
 /// out *= scale.
 void Scale(Matrix* out, float scale);
 
-/// Adds row vector `bias` (1 x n) to every row of `out` (m x n).
-void AddRowBroadcast(Matrix* out, const Matrix& bias);
-
 /// bias_grad (1 x n) += column sums of `grad` (m x n).
-void SumRowsInto(const Matrix& grad, Matrix* bias_grad);
 void SumRowsIntoV(ConstMatrixView grad, Matrix* bias_grad);
 
 /// out = a ⊙ b (Hadamard product).
@@ -267,9 +248,6 @@ void HadamardV(ConstMatrixView a, ConstMatrixView b, MatrixView out);
 
 /// out += a ⊙ b.
 void HadamardAccum(const Matrix& a, const Matrix& b, Matrix* out);
-
-/// Dot product of the flattened matrices (8-lane double accumulation).
-double Dot(const Matrix& a, const Matrix& b);
 
 /// Max |a - b| over all elements (shapes must match). For tests.
 float MaxAbsDiff(const Matrix& a, const Matrix& b);

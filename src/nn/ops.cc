@@ -60,26 +60,6 @@ void AddRowBroadcastV(MatrixView out, const Matrix& bias) {
   }
 }
 
-void Sigmoid(const Matrix& in, Matrix* out) {
-  if (out != &in) out->Resize(in.rows(), in.cols());
-  SigmoidV(in, *out);
-}
-
-void Tanh(const Matrix& in, Matrix* out) {
-  if (out != &in) out->Resize(in.rows(), in.cols());
-  TanhV(in, *out);
-}
-
-void SigmoidBackward(const Matrix& y, const Matrix& d_out, Matrix* d_in) {
-  if (d_in != &y && d_in != &d_out) d_in->Resize(y.rows(), y.cols());
-  SigmoidBackwardV(y, d_out, MatrixView(*d_in));
-}
-
-void TanhBackward(const Matrix& y, const Matrix& d_out, Matrix* d_in) {
-  if (d_in != &y && d_in != &d_out) d_in->Resize(y.rows(), y.cols());
-  TanhBackwardV(y, d_out, MatrixView(*d_in));
-}
-
 void SoftmaxRows(const Matrix& in, Matrix* out) {
   out->Resize(in.rows(), in.cols());
   const size_t n = in.cols();

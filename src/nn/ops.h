@@ -4,35 +4,27 @@
 #include "nn/matrix.h"
 
 /// \file
-/// Elementwise activations and softmax, with the backward helpers the GRU and
-/// loss layers need. Backward functions follow the convention
+/// Elementwise activations and softmax, with the backward helpers the GRU,
+/// attention and loss layers need. Backward functions follow the convention
 /// `dX = dY ⊙ f'(...)` expressed in terms of the *outputs* of the forward
 /// pass (σ' = y(1-y), tanh' = 1-y²) so no pre-activations need to be stored.
+/// The activations take strided views, so they run directly on the column
+/// blocks of packed gate buffers; shapes must already match (views cannot
+/// resize).
 
 namespace t2vec::nn {
 
-/// out = σ(in), elementwise logistic sigmoid. `out` may alias `in`.
-void Sigmoid(const Matrix& in, Matrix* out);
+/// out = σ(in), elementwise logistic sigmoid.
+void SigmoidV(ConstMatrixView in, MatrixView out);
 
-/// out = tanh(in), elementwise. `out` may alias `in`.
-void Tanh(const Matrix& in, Matrix* out);
+/// out = tanh(in), elementwise.
+void TanhV(ConstMatrixView in, MatrixView out);
 
 /// d_in = d_out ⊙ y ⊙ (1 - y) where y = σ(pre-activation).
-/// `d_in` may alias `d_out`.
-void SigmoidBackward(const Matrix& y, const Matrix& d_out, Matrix* d_in);
-
-/// d_in = d_out ⊙ (1 - y²) where y = tanh(pre-activation).
-void TanhBackward(const Matrix& y, const Matrix& d_out, Matrix* d_in);
-
-// Strided-view variants. Shapes must already match (views cannot resize).
-// The per-element expressions are shared with the Matrix overloads above, so
-// running an activation on a column block of a packed buffer produces the
-// same bits as running it on a separate per-gate matrix (the fused-kernel
-// determinism contract in nn/matrix.h).
-void SigmoidV(ConstMatrixView in, MatrixView out);
-void TanhV(ConstMatrixView in, MatrixView out);
 void SigmoidBackwardV(ConstMatrixView y, ConstMatrixView d_out,
                       MatrixView d_in);
+
+/// d_in = d_out ⊙ (1 - y²) where y = tanh(pre-activation).
 void TanhBackwardV(ConstMatrixView y, ConstMatrixView d_out, MatrixView d_in);
 
 /// Adds row vector `bias` (1 x n) to every row of `out` (m x n).

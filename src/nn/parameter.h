@@ -32,8 +32,8 @@ struct Parameter {
 /// A flat list of parameter pointers; the unit optimizers operate on.
 using ParamList = std::vector<Parameter*>;
 
-/// Global parameter-version counter backing the fused-weight pack caches
-/// (nn/gru.h, nn/attention.h): layers stamp their packed `[Wz|Wr|Wc]`
+/// Global parameter-version counter backing the GRU's weight pack cache
+/// (nn/gru.h): layers stamp their packed `[Wc|Wz|Wr]`
 /// buffers with the version they were built at and rebuild lazily when it
 /// moves. Anything that mutates parameter values outside a layer's own
 /// methods — optimizer steps, checkpoint loads, init helpers, gradcheck

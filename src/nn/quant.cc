@@ -98,7 +98,7 @@ void QuantizedGemmTransB(const int8_t* qx, const float* sx, size_t m,
 
 QuantizedGruLayer::QuantizedGruLayer(const GruLayer& layer) {
   const GruLayer::WeightRefs w = layer.Weights();
-  // Channel order [c | z | r] matches the fused fp32 path's pre3 layout.
+  // Channel order [c | z | r] matches GruLayer::Step's fp32 pre layout.
   AppendTransposed(*w.wc, &w_pack_);
   AppendTransposed(*w.wz, &w_pack_);
   AppendTransposed(*w.wr, &w_pack_);
@@ -119,8 +119,8 @@ void QuantizedGruLayer::Step(ConstMatrixView x, MatrixView h, MatrixView pre,
   T2VEC_CHECK(x.cols == in_dim() && h.rows == batch && h.cols == dim);
 
   // [pre_c | pre_z | pre_r] = deq(q(x) · qW^T); then the z/r blocks get the
-  // hidden term and the c block the (r ⊙ h⁻) term, mirroring the fused fp32
-  // gate structure in GruLayer::Step.
+  // hidden term and the c block the (r ⊙ h⁻) term, mirroring the fp32 gate
+  // structure in GruLayer::Step.
   QuantizeRowsDynamic(x, q, scales);
   QuantizedGemmTransB(q->data(), scales->data(), batch, w_pack_, pre,
                       /*accumulate=*/false, nullptr);

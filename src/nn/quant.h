@@ -42,7 +42,7 @@ struct QuantizedMatrix {
   const int8_t* Row(size_t r) const { return data.data() + r * cols; }
 };
 
-/// Quantizes w^T (w is k x out, e.g. a Linear/GRU weight in its natural
+/// Quantizes w^T (w is k x out, e.g. a GRU gate weight in its natural
 /// layout): the result has `out` rows of length k.
 QuantizedMatrix QuantizeTransposed(ConstMatrixView w);
 
@@ -69,7 +69,7 @@ void QuantizedGemmTransB(const int8_t* qx, const float* sx, size_t m,
                          bool accumulate, const float* bias);
 
 /// One GRU layer running int8 inference with the gate structure of
-/// GruLayer::Step's fused path ([c|z|r] pre-activations, fp32
+/// GruLayer::Step ([c|z|r] pre-activations, fp32
 /// sigmoid/tanh). Weights are captured (quantized) at construction; later
 /// optimizer steps on the source layer do NOT refresh them — rebuild for
 /// that.

@@ -1,11 +1,13 @@
-// Bit-identity and gradient tests for the fused GEMM paths (nn/matrix.h):
-// the fused gate-packed GRU, the packed attention, and the packed Linear
-// sequence helpers must reproduce the unfused per-gate/per-step serial
-// computation bit-for-bit, at every thread count, and their packs must
-// refresh after parameter updates.
+// Tests of the packed GRU and attention layers (nn/gru.h, nn/attention.h):
+// forward+backward bit identity at 1, 2 and 8 threads, the GRU's weight
+// packs refreshing after an optimizer step, gradchecks, and naive
+// double-precision references of one GRU step and of the attention forward,
+// written straight from the equations over the named weights. The absolute
+// bits of training and encoding are pinned by model_golden_test.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -14,7 +16,6 @@
 #include "gradcheck.h"
 #include "nn/attention.h"
 #include "nn/gru.h"
-#include "nn/linear.h"
 #include "nn/matrix.h"
 #include "nn/optimizer.h"
 
@@ -22,18 +23,6 @@ namespace t2vec::nn {
 namespace {
 
 using ::t2vec::nn::testing::ExpectGradientsMatch;
-
-// Restores the fused-kernel toggle on scope exit so test order can't leak.
-class ScopedFused {
- public:
-  explicit ScopedFused(bool on) : prev_(FusedKernelsEnabled()) {
-    SetFusedKernels(on);
-  }
-  ~ScopedFused() { SetFusedKernels(prev_); }
-
- private:
-  bool prev_;
-};
 
 std::vector<Matrix> RandomSequence(size_t steps, size_t batch, size_t dim,
                                    Rng& rng, float scale = 0.8f) {
@@ -60,8 +49,19 @@ void ExpectBitEqual(const std::vector<Matrix>& got,
   for (size_t t = 0; t < got.size(); ++t) ExpectBitEqual(got[t], want[t], what);
 }
 
+double Sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
+
+// Row b of x (B x k) times column j of w (k x n), in double.
+double RowTimesCol(const Matrix& x, size_t b, const Matrix& w, size_t j) {
+  double acc = 0.0;
+  for (size_t i = 0; i < x.cols(); ++i) {
+    acc += static_cast<double>(x(b, i)) * w(i, j);
+  }
+  return acc;
+}
+
 // ---------------------------------------------------------------------------
-// GRU: fused gate-packed forward/backward vs the unfused per-gate path.
+// GRU: the gate-packed forward/backward.
 // ---------------------------------------------------------------------------
 
 // Everything one GRU forward+backward produces, for bit comparison.
@@ -94,10 +94,10 @@ void ExpectSameRun(const GruRun& got, const GruRun& want) {
   ExpectBitEqual(got.grads, want.grads, "grads");
 }
 
-TEST(FusedGruTest, BitIdenticalToUnfusedSerialAtAnyThreadCount) {
+TEST(FusedGruTest, BitIdenticalToSerialAtAnyThreadCount) {
   // Sizes picked to cross the kernel's micro-tile edges *and* the
   // parallelism thresholds (48 rows, ~2.7e6 flops in the packed gate GEMM),
-  // so the fused path really runs tiled and threaded.
+  // so the packed GEMMs really run tiled and threaded.
   const size_t steps = 3, batch = 48, in_dim = 96, hidden = 96;
   Rng rng(11);
   GruLayer layer("gru", in_dim, hidden, rng);
@@ -117,11 +117,9 @@ TEST(FusedGruTest, BitIdenticalToUnfusedSerialAtAnyThreadCount) {
 
   GruRun ref;
   {
-    ScopedFused fused(false);
     ScopedNumThreads serial(1);
     ref = RunGru(&layer, xs, h0, masks, d_hs, d_h_last);
   }
-  ScopedFused fused(true);
   for (int threads : {1, 2, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ScopedNumThreads scope(threads);
@@ -136,10 +134,7 @@ TEST(FusedGruTest, PacksRefreshAfterOptimizerStep) {
   auto xs = RandomSequence(steps, batch, in_dim, rng);
   Matrix h0(batch, hidden);
   GruCache before;
-  {
-    ScopedFused fused(true);
-    layer.Forward(xs, h0, {}, &before);  // Builds the packs.
-  }
+  layer.Forward(xs, h0, {}, &before);  // Builds the packs.
 
   // Take a real optimizer step: packs must be rebuilt from the new weights.
   for (Parameter* p : layer.Params()) {
@@ -151,23 +146,75 @@ TEST(FusedGruTest, PacksRefreshAfterOptimizerStep) {
   Sgd sgd(layer.Params(), /*lr=*/0.5f);
   sgd.Step();
 
-  GruCache fused_after, unfused_after;
-  {
-    ScopedFused fused(true);
-    layer.Forward(xs, h0, {}, &fused_after);
+  // A layer built after the step, given the stepped weights, has never
+  // packed the old ones.
+  Rng other_rng(22);
+  GruLayer fresh("gru", in_dim, hidden, other_rng);
+  const ParamList stepped = layer.Params();
+  const ParamList copies = fresh.Params();
+  for (size_t i = 0; i < stepped.size(); ++i) {
+    copies[i]->value = stepped[i]->value;
   }
-  {
-    ScopedFused fused(false);
-    layer.Forward(xs, h0, {}, &unfused_after);
-  }
-  ExpectBitEqual(fused_after.h, unfused_after.h, "h after step");
+  BumpParamVersion();
+
+  GruCache after, fresh_after;
+  layer.Forward(xs, h0, {}, &after);
+  fresh.Forward(xs, h0, {}, &fresh_after);
+  ExpectBitEqual(after.h, fresh_after.h, "h after step");
   // And the step must actually have changed the output (guards against a
   // vacuously-passing comparison).
-  EXPECT_GT(MaxAbsDiff(fused_after.h.back(), before.h.back()), 0.0f);
+  EXPECT_GT(MaxAbsDiff(after.h.back(), before.h.back()), 0.0f);
+}
+
+// One Step against Cho et al.'s equations over the named weights, in
+// double: z = σ(x Wz + h⁻ Uz + bz), r = σ(x Wr + h⁻ Ur + br),
+// c = tanh(x Wc + (r ⊙ h⁻) Uc + bc), h = (1 − z) ⊙ h⁻ + z ⊙ c.
+TEST(FusedGruTest, StepMatchesNaiveDoubleReference) {
+  const size_t batch = 5, in_dim = 7, hidden = 9;
+  Rng rng(27);
+  GruLayer layer("gru", in_dim, hidden, rng);
+  // Nonzero biases, so a dropped bias term shows.
+  for (Parameter* p : layer.Params()) {
+    if (p->value.rows() == 1) {
+      for (size_t i = 0; i < p->value.size(); ++i) {
+        p->value.data()[i] = static_cast<float>(rng.Uniform(-0.5, 0.5));
+      }
+    }
+  }
+  BumpParamVersion();
+  const Matrix x = RandomSequence(1, batch, in_dim, rng)[0];
+  const Matrix h_prev = RandomSequence(1, batch, hidden, rng)[0];
+
+  Matrix pre(batch, 3 * hidden), z(batch, hidden), r(batch, hidden),
+      c(batch, hidden), rh(batch, hidden), h(batch, hidden);
+  layer.Step(x, h_prev, pre, {z, r, c, rh}, h);
+
+  const GruLayer::WeightRefs w = layer.Weights();
+  for (size_t b = 0; b < batch; ++b) {
+    std::vector<double> rd(hidden), rhd(hidden);
+    for (size_t j = 0; j < hidden; ++j) {
+      rd[j] = Sigmoid(RowTimesCol(x, b, *w.wr, j) +
+                      RowTimesCol(h_prev, b, *w.ur, j) + (*w.br)(0, j));
+      rhd[j] = rd[j] * h_prev(b, j);
+    }
+    for (size_t j = 0; j < hidden; ++j) {
+      const double zd = Sigmoid(RowTimesCol(x, b, *w.wz, j) +
+                                RowTimesCol(h_prev, b, *w.uz, j) +
+                                (*w.bz)(0, j));
+      double uc_term = 0.0;
+      for (size_t i = 0; i < hidden; ++i) uc_term += rhd[i] * (*w.uc)(i, j);
+      const double cd =
+          std::tanh(RowTimesCol(x, b, *w.wc, j) + uc_term + (*w.bc)(0, j));
+      const double hd = (1.0 - zd) * h_prev(b, j) + zd * cd;
+      EXPECT_NEAR(z(b, j), zd, 1e-5) << "z " << b << "," << j;
+      EXPECT_NEAR(r(b, j), rd[j], 1e-5) << "r " << b << "," << j;
+      EXPECT_NEAR(c(b, j), cd, 1e-5) << "c " << b << "," << j;
+      EXPECT_NEAR(h(b, j), hd, 1e-5) << "h " << b << "," << j;
+    }
+  }
 }
 
 TEST(FusedGruTest, GradCheckWithFusedKernels) {
-  ScopedFused fused(true);
   const size_t steps = 3, batch = 2, in_dim = 3, hidden = 4;
   Rng rng(33);
   GruLayer layer("gru", in_dim, hidden, rng);
@@ -214,7 +261,7 @@ TEST(FusedGruTest, GradCheckWithFusedKernels) {
 }
 
 // ---------------------------------------------------------------------------
-// Attention: packed sequence GEMMs vs the per-step path.
+// Attention: one GEMM per weight over the packed sequence.
 // ---------------------------------------------------------------------------
 
 struct AttentionRun {
@@ -237,7 +284,7 @@ AttentionRun RunAttention(Attention* attn, const std::vector<Matrix>& dec_hs,
   return run;
 }
 
-TEST(FusedAttentionTest, BitIdenticalToUnfusedSerialAtAnyThreadCount) {
+TEST(FusedAttentionTest, BitIdenticalToSerialAtAnyThreadCount) {
   // S*B = 128 rows through the key projection (~2.4e6 flops): clears the
   // kernel's parallel thresholds.
   const size_t src_steps = 4, dec_steps = 3, batch = 32, hidden = 96;
@@ -256,11 +303,9 @@ TEST(FusedAttentionTest, BitIdenticalToUnfusedSerialAtAnyThreadCount) {
 
   AttentionRun ref;
   {
-    ScopedFused fused(false);
     ScopedNumThreads serial(1);
     ref = RunAttention(&attn, dec_hs, enc_hs, src_masks, d_output);
   }
-  ScopedFused fused(true);
   for (int threads : {1, 2, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ScopedNumThreads scope(threads);
@@ -273,8 +318,69 @@ TEST(FusedAttentionTest, BitIdenticalToUnfusedSerialAtAnyThreadCount) {
   }
 }
 
+// Attention::Forward against its equations in double (nn/attention.h):
+// keys k_s = e_s W_a, scores h_t · k_s over the unmasked source positions,
+// α = softmax, c_t = Σ_s α_ts e_s, ĥ_t = tanh([h_t ; c_t] W_c).
+TEST(FusedAttentionTest, ForwardMatchesNaiveDoubleReference) {
+  const size_t src_steps = 4, dec_steps = 3, batch = 5, hidden = 6;
+  Rng rng(31);
+  Attention attn("attn", hidden, rng);
+  const auto enc_hs = RandomSequence(src_steps, batch, hidden, rng);
+  const auto dec_hs = RandomSequence(dec_steps, batch, hidden, rng);
+  // Row b masks its last b % 3 source positions.
+  std::vector<std::vector<float>> src_masks(
+      src_steps, std::vector<float>(batch, 1.0f));
+  for (size_t b = 0; b < batch; ++b) {
+    for (size_t s = src_steps - b % 3; s < src_steps; ++s) {
+      src_masks[s][b] = 0.0f;
+    }
+  }
+  AttentionCache cache;
+  attn.Forward(dec_hs, enc_hs, src_masks, &cache);
+
+  const ParamList params = attn.Params();
+  const Matrix& wa = params[0]->value;  // H x H
+  const Matrix& wc = params[1]->value;  // 2H x H
+  for (size_t t = 0; t < dec_steps; ++t) {
+    for (size_t b = 0; b < batch; ++b) {
+      std::vector<double> score(src_steps), alpha(src_steps, 0.0);
+      double max_score = -1e300;
+      for (size_t s = 0; s < src_steps; ++s) {
+        if (src_masks[s][b] == 0.0f) continue;
+        double acc = 0.0;
+        for (size_t j = 0; j < hidden; ++j) {
+          acc += dec_hs[t](b, j) * RowTimesCol(enc_hs[s], b, wa, j);
+        }
+        score[s] = acc;
+        max_score = std::max(max_score, acc);
+      }
+      double total = 0.0;
+      for (size_t s = 0; s < src_steps; ++s) {
+        if (src_masks[s][b] == 0.0f) continue;
+        alpha[s] = std::exp(score[s] - max_score);
+        total += alpha[s];
+      }
+      std::vector<double> concat(2 * hidden, 0.0);
+      for (size_t j = 0; j < hidden; ++j) concat[j] = dec_hs[t](b, j);
+      for (size_t s = 0; s < src_steps; ++s) {
+        alpha[s] /= total;
+        EXPECT_NEAR(cache.alphas[t](b, s), alpha[s], 1e-5)
+            << "alpha t=" << t << " b=" << b << " s=" << s;
+        for (size_t j = 0; j < hidden; ++j) {
+          concat[hidden + j] += alpha[s] * enc_hs[s](b, j);
+        }
+      }
+      for (size_t j = 0; j < hidden; ++j) {
+        double acc = 0.0;
+        for (size_t i = 0; i < 2 * hidden; ++i) acc += concat[i] * wc(i, j);
+        EXPECT_NEAR(cache.output[t](b, j), std::tanh(acc), 1e-5)
+            << "output t=" << t << " b=" << b << " j=" << j;
+      }
+    }
+  }
+}
+
 TEST(FusedAttentionTest, GradCheckWithFusedKernels) {
-  ScopedFused fused(true);
   const size_t src_steps = 3, dec_steps = 2, batch = 2, hidden = 4;
   Rng rng(29);
   Attention attn("attn", hidden, rng);
@@ -318,49 +424,6 @@ TEST(FusedAttentionTest, GradCheckWithFusedKernels) {
   }
   for (size_t s = 0; s < src_steps; ++s) {
     ExpectGradientsMatch(&enc_hs[s], d_enc[s], loss_fn, 1e-2f, 3e-2, 6);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Linear: packed sequence helpers vs per-step Forward/Backward.
-// ---------------------------------------------------------------------------
-
-TEST(FusedLinearTest, SeqHelpersBitIdenticalToPerStepCalls) {
-  const size_t steps = 4, batch = 32, in_dim = 96, out_dim = 96;
-  Rng rng(41);
-  Linear linear("proj", in_dim, out_dim, rng);
-  auto xs = RandomSequence(steps, batch, in_dim, rng);
-  auto d_outs = RandomSequence(steps, batch, out_dim, rng, 0.3f);
-
-  // Reference: per-step calls (the original layer API), serial.
-  std::vector<Matrix> ref_outs(steps), ref_dxs(steps);
-  std::vector<Matrix> ref_grads;
-  {
-    ScopedNumThreads serial(1);
-    for (size_t t = 0; t < steps; ++t) linear.Forward(xs[t], &ref_outs[t]);
-    for (Parameter* p : linear.Params()) p->ZeroGrad();
-    for (size_t t = 0; t < steps; ++t) {
-      linear.Backward(xs[t], d_outs[t], &ref_dxs[t]);
-    }
-    for (Parameter* p : linear.Params()) ref_grads.push_back(p->grad);
-  }
-
-  for (bool use_fused : {false, true}) {
-    for (int threads : {1, 8}) {
-      SCOPED_TRACE("fused=" + std::to_string(use_fused) +
-                   " threads=" + std::to_string(threads));
-      ScopedFused fused(use_fused);
-      ScopedNumThreads scope(threads);
-      std::vector<Matrix> outs, d_xs;
-      linear.ForwardSeq(xs, &outs);
-      for (Parameter* p : linear.Params()) p->ZeroGrad();
-      linear.BackwardSeq(xs, d_outs, &d_xs);
-      ExpectBitEqual(outs, ref_outs, "outs");
-      ExpectBitEqual(d_xs, ref_dxs, "d_xs");
-      std::vector<Matrix> grads;
-      for (Parameter* p : linear.Params()) grads.push_back(p->grad);
-      ExpectBitEqual(grads, ref_grads, "grads");
-    }
   }
 }
 

@@ -35,7 +35,7 @@ inline void ExpectGradientsMatch(Matrix* target, const Matrix& analytic_grad,
     const float original = target->data()[i];
 
     // Perturbations write parameter storage directly, so invalidate the
-    // fused weight-pack caches the same way an optimizer step would.
+    // GRU's weight-pack cache the same way an optimizer step would.
     target->data()[i] = original + eps;
     BumpParamVersion();
     const double loss_plus = loss_fn();

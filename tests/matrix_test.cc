@@ -4,6 +4,7 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "nn/kernels.h"
 #include "nn/matrix.h"
 #include "nn/ops.h"
 #include "nn/parameter.h"
@@ -203,8 +204,8 @@ TEST(GemmKernelSweep, ParallelBitIdenticalToSerial) {
 }
 
 // A segmented GemmTransBV call must equal chaining one beta=1 call per
-// k-segment bit-for-bit — this is the property that makes the fused packed
-// backward GEMMs reproduce the per-gate ones exactly.
+// k-segment bit-for-bit — this is the property that keeps the GRU
+// backward's packed GEMMs in the order of one call per gate.
 TEST(GemmKernelSweep, SegmentedTransBEqualsChainedCalls) {
   Rng rng(7);
   const size_t m = 9, n = 11, seg = 16, nseg = 3, k = seg * nseg;
@@ -234,7 +235,8 @@ TEST(MatrixTest, DotAndSquaredNormMatchDoubleReference) {
     dot += static_cast<double>(a.data()[i]) * b.data()[i];
   }
   EXPECT_NEAR(a.SquaredNorm(), norm, 1e-9 * std::max(1.0, norm));
-  EXPECT_NEAR(Dot(a, b), dot, 1e-9 * std::max(1.0, std::fabs(dot)));
+  EXPECT_NEAR(Kernels().dot_f64(a.data(), b.data(), a.size()), dot,
+              1e-9 * std::max(1.0, std::fabs(dot)));
 }
 
 TEST(MatrixTest, ToStringTruncatesAndFormats) {
@@ -272,8 +274,8 @@ TEST(ElementwiseTest, AddAxpyScale) {
   Rng rng(9);
   Matrix a = RandomMatrix(3, 3, rng);
   Matrix b = RandomMatrix(3, 3, rng);
-  Matrix sum;
-  Add(a, b, &sum);
+  Matrix sum = a;
+  AddInPlace(&sum, b);
   for (size_t i = 0; i < sum.size(); ++i) {
     EXPECT_FLOAT_EQ(sum.data()[i], a.data()[i] + b.data()[i]);
   }
@@ -296,13 +298,13 @@ TEST(ElementwiseTest, RowBroadcastAndSumRows) {
   bias(0, 0) = 10;
   bias(0, 1) = 20;
   bias(0, 2) = 30;
-  AddRowBroadcast(&m, bias);
+  AddRowBroadcastV(m, bias);
   EXPECT_FLOAT_EQ(m(0, 0), 11.0f);
   EXPECT_FLOAT_EQ(m(1, 1), 20.0f);
   EXPECT_FLOAT_EQ(m(1, 2), 34.0f);
 
   Matrix col_sum(1, 3);
-  SumRowsInto(m, &col_sum);
+  SumRowsIntoV(m, &col_sum);
   EXPECT_FLOAT_EQ(col_sum(0, 0), 21.0f);
   EXPECT_FLOAT_EQ(col_sum(0, 1), 40.0f);
   EXPECT_FLOAT_EQ(col_sum(0, 2), 64.0f);
@@ -326,8 +328,8 @@ TEST(OpsTest, SigmoidValues) {
   in(0, 0) = 0.0f;
   in(0, 1) = 100.0f;
   in(0, 2) = -100.0f;
-  Matrix out;
-  Sigmoid(in, &out);
+  Matrix out(1, 3);
+  SigmoidV(in, out);
   EXPECT_FLOAT_EQ(out(0, 0), 0.5f);
   EXPECT_NEAR(out(0, 1), 1.0f, 1e-6f);
   EXPECT_NEAR(out(0, 2), 0.0f, 1e-6f);
@@ -337,8 +339,8 @@ TEST(OpsTest, TanhValues) {
   Matrix in(1, 2);
   in(0, 0) = 0.0f;
   in(0, 1) = 1.0f;
-  Matrix out;
-  Tanh(in, &out);
+  Matrix out(1, 2);
+  TanhV(in, out);
   EXPECT_FLOAT_EQ(out(0, 0), 0.0f);
   EXPECT_NEAR(out(0, 1), std::tanh(1.0f), 1e-6f);
 }
@@ -384,10 +386,10 @@ TEST(OpsTest, ActivationBackwardFormulas) {
   y(0, 0) = 0.3f;
   y(0, 1) = 0.8f;
   Matrix d_out(1, 2, 1.0f);
-  Matrix d_in;
-  SigmoidBackward(y, d_out, &d_in);
+  Matrix d_in(1, 2);
+  SigmoidBackwardV(y, d_out, d_in);
   EXPECT_NEAR(d_in(0, 0), 0.3f * 0.7f, 1e-6f);
-  TanhBackward(y, d_out, &d_in);
+  TanhBackwardV(y, d_out, d_in);
   EXPECT_NEAR(d_in(0, 1), 1.0f - 0.64f, 1e-6f);
 }
 

@@ -302,12 +302,12 @@ TEST(SimdDispatchTest, SquaredNormAndDotBitIdenticalAcrossTiers) {
   {
     ScopedTier tier(SimdTier::kScalar);
     sq[0] = m.SquaredNorm();
-    dot[0] = Dot(x, y);
+    dot[0] = Kernels().dot_f64(x.data(), y.data(), x.size());
   }
   {
     ScopedTier tier(SimdTier::kAvx2);
     sq[1] = m.SquaredNorm();
-    dot[1] = Dot(x, y);
+    dot[1] = Kernels().dot_f64(x.data(), y.data(), x.size());
   }
   EXPECT_EQ(std::memcmp(&sq[0], &sq[1], sizeof(double)), 0);
   EXPECT_EQ(std::memcmp(&dot[0], &dot[1], sizeof(double)), 0);
