@@ -67,7 +67,7 @@ void BM_GruForwardStep(benchmark::State& state) {
 }
 BENCHMARK(BM_GruForwardStep)->Arg(32)->Arg(64)->Arg(96)->Arg(128);
 
-void BM_GruForwardBackwardSequence(benchmark::State& state) {
+void BM_GruSequenceBptt(benchmark::State& state) {
   // One full BPTT pass over a 60-step sequence — the training inner loop.
   const size_t hidden = static_cast<size_t>(state.range(0));
   const size_t batch = 64, steps = 60;
@@ -91,7 +91,7 @@ void BM_GruForwardBackwardSequence(benchmark::State& state) {
     benchmark::DoNotOptimize(d_h0.data());
   }
 }
-BENCHMARK(BM_GruForwardBackwardSequence)->Arg(32)->Arg(64)->Arg(96);
+BENCHMARK(BM_GruSequenceBptt)->Arg(32)->Arg(64)->Arg(96);
 
 void BM_EncodeSequenceBatch(benchmark::State& state) {
   // Inference throughput: 2-layer GRU over a 60-token batch of 256 —
