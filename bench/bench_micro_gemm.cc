@@ -10,16 +10,14 @@
 #include "common/stopwatch.h"
 #include "nn/gru.h"
 #include "nn/matrix.h"
-#include "nn/quant.h"
 
 /// \file
 /// Microbenchmark for the blocked GEMM kernels and the fused-gate GRU step —
 /// the training hot path. Every shape runs once per available SIMD dispatch
 /// tier (scalar always; avx2 where the CPU supports it), with the tier name
 /// suffixed onto each metric, so BENCH_gemm.json carries the scalar/AVX2
-/// before/after pair in one artifact. The int8 quantized GEMM (serving
-/// path) is measured alongside at the same shapes, including its dynamic
-/// activation-quantization cost. Canonical results live in EXPERIMENTS.md.
+/// before/after pair in one artifact. Canonical results live in
+/// EXPERIMENTS.md.
 ///
 /// Shapes: square GEMMs at the paper's hidden sizes (64/128/256) plus the
 /// fused-gate shape (B x in · in x 3H), and one full GRU forward+backward
@@ -72,27 +70,6 @@ void BenchGemm(size_t n, Rng* rng, Results* out) {
   const double tb_s = TimePerCall([&] { nn::GemmTransB(a, b, &c); });
   out->Record("gemm_transb_gflops_" + std::to_string(n), flops / tb_s / 1e9,
               "GFLOP/s");
-}
-
-/// int8 serving GEMM at the same square shape, costed the way the quantized
-/// encoder pays it per step: dynamic per-row activation quantization + the
-/// exact int8 x int8 -> int32 kernel + fp32 dequantize. Reported as
-/// *effective* GFLOP/s (same 2n^3 numerator as fp32) so the columns compare.
-void BenchQuantGemm(size_t n, Rng* rng, Results* out) {
-  nn::Matrix x(n, n), w(n, n), c(n, n);
-  FillRandom(&x, rng);
-  FillRandom(&w, rng);
-  const nn::QuantizedMatrix qw = nn::QuantizeTransposed(w);
-  std::vector<int8_t> qx;
-  std::vector<float> sx;
-  const double flops = 2.0 * static_cast<double>(n) * n * n;
-  const double s = TimePerCall([&] {
-    nn::QuantizeRowsDynamic(x, &qx, &sx);
-    nn::QuantizedGemmTransB(qx.data(), sx.data(), n, qw, c,
-                            /*accumulate=*/false, /*bias=*/nullptr);
-  });
-  out->Record("qgemm_i8_eff_gflops_" + std::to_string(n), flops / s / 1e9,
-              "GFLOP/s(eff)");
 }
 
 /// The fused input projection shape: one B x in · in x 3H GEMM replaces the
@@ -150,9 +127,6 @@ int Main() {
 
     std::printf("GEMM kernels (square):\n");
     for (size_t n : {64, 128, 256}) BenchGemm(n, &rng, &results);
-
-    std::printf("int8 quantized GEMM (square, incl. activation quant):\n");
-    for (size_t n : {64, 128, 256}) BenchQuantGemm(n, &rng, &results);
 
     std::printf("Fused gate projection (64 x H  ·  H x 3H):\n");
     for (size_t h : {64, 128, 256}) BenchFusedGateShape(h, &rng, &results);

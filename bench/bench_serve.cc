@@ -9,18 +9,12 @@
 // actually happens. Results are bit-identical across all settings (the
 // service's determinism contract); only the timing varies.
 //
-// Ahead of the closed loop, the raw encoder is swept across precision
-// (fp32 vs int8) and SIMD dispatch tier (scalar vs avx2 where supported),
-// at the bench model's size and at the paper-scale shape (hidden 256,
-// 3 layers), and the int8 accuracy cost is measured two ways: max absolute
-// embedding error + strict top-10 neighbor overlap vs fp32, and the fig5
-// task metric (Sec. V-C3 kNN precision under downsampling) run once with
-// the fp32 encoder and once with the int8 encoder on identical transforms,
-// whose difference is the quantization cost a retrieval user actually pays.
+// Ahead of the closed loop, the raw encoder is swept across SIMD dispatch
+// tiers (scalar vs avx2 where supported), at the bench model's size and at
+// the paper-scale shape (hidden 256, 3 layers). The closed loop runs on the
+// process's default tier.
 
-#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -34,7 +28,6 @@
 #include "common/stopwatch.h"
 #include "core/model.h"
 #include "core/t2vec.h"
-#include "nn/kernels.h"
 #include "serve/embedding_service.h"
 
 namespace t2vec::bench {
@@ -52,12 +45,11 @@ struct WindowResult {
 WindowResult RunClosedLoop(const core::T2Vec& model,
                            const std::vector<traj::Trajectory>& trips,
                            size_t num_clients, size_t requests_per_client,
-                           int window_us, bool quantized) {
+                           int window_us) {
   serve::ServiceOptions options;
   options.batch_window = std::chrono::microseconds(window_us);
   options.max_batch = num_clients;
   options.queue_capacity = 4 * num_clients;
-  options.quantized = quantized;
   serve::EmbeddingService service(&model, options);
 
   const auto start = std::chrono::steady_clock::now();
@@ -102,7 +94,7 @@ WindowResult RunClosedLoop(const core::T2Vec& model,
 
 /// Mean seconds per call of `fn` over a ~0.5s measurement window.
 double TimePerCall(const std::function<void()>& fn) {
-  fn();  // Warmup (builds lazy weight packs / quantized caches).
+  fn();  // Warmup (builds the lazy weight packs).
   Stopwatch timer;
   int iters = 0;
   do {
@@ -113,10 +105,12 @@ double TimePerCall(const std::function<void()>& fn) {
 }
 
 /// Encode throughput (trajectories/s) of `encode` over `n` sequences, per
-/// dispatch tier. Records one metric per tier.
+/// dispatch tier. Records one metric per tier and restores the tier that
+/// was active before.
 void SweepTiers(const std::string& name, size_t n,
                 const std::function<void()>& encode,
                 std::vector<std::pair<std::string, double>>* metrics) {
+  const SimdTier previous = ActiveSimdTier();
   std::vector<SimdTier> tiers = {SimdTier::kScalar};
   if (SimdTierSupported(SimdTier::kAvx2)) tiers.push_back(SimdTier::kAvx2);
   for (const SimdTier tier : tiers) {
@@ -128,63 +122,12 @@ void SweepTiers(const std::string& name, size_t n,
     metrics->emplace_back(name + "_rps_" + std::string(SimdTierName(tier)),
                           rps);
   }
-  SetSimdTier(SimdTier::kScalar);
-}
-
-/// Looks up metric `name`, or 0 when absent.
-double Metric(const std::vector<std::pair<std::string, double>>& metrics,
-              const std::string& name) {
-  for (const auto& [key, value] : metrics) {
-    if (key == name) return value;
-  }
-  return 0.0;
-}
-
-/// Indices of the `k` nearest rows of `db` to `query` (excluding `self`),
-/// by squared L2, ties broken by index.
-std::vector<size_t> TopK(const nn::Matrix& db, const float* query,
-                         size_t self, size_t k) {
-  const nn::KernelOps& ops = nn::KernelsFor(SimdTier::kScalar);
-  std::vector<std::pair<double, size_t>> scored;
-  scored.reserve(db.rows());
-  for (size_t i = 0; i < db.rows(); ++i) {
-    if (i == self) continue;
-    scored.emplace_back(ops.sqdist_f64(query, db.Row(i), db.cols()), i);
-  }
-  // lint:allow(raw-sort) (distance, index) pairs are distinct, total order
-  std::partial_sort(scored.begin(),
-                    scored.begin() + std::min(k, scored.size()),
-                    scored.end());
-  std::vector<size_t> out;
-  for (size_t i = 0; i < std::min(k, scored.size()); ++i) {
-    out.push_back(scored[i].second);
-  }
-  return out;
-}
-
-/// Fraction of fp32 top-k neighbors the int8 embeddings recover on the raw
-/// (untransformed) set. A strict diagnostic: near-equidistant neighbors can
-/// legally swap under tiny perturbations, so this lower-bounds — but does
-/// not equal — task-level retrieval quality (see the fig5 run below).
-double KnnOverlap(const nn::Matrix& fp32, const nn::Matrix& int8,
-                  size_t num_queries, size_t k) {
-  double hit = 0.0, total = 0.0;
-  for (size_t q = 0; q < num_queries; ++q) {
-    const std::vector<size_t> truth = TopK(fp32, fp32.Row(q), q, k);
-    const std::vector<size_t> got = TopK(int8, int8.Row(q), q, k);
-    for (const size_t idx : got) {
-      if (std::find(truth.begin(), truth.end(), idx) != truth.end()) {
-        hit += 1.0;
-      }
-    }
-    total += static_cast<double>(truth.size());
-  }
-  return total > 0.0 ? hit / total : 1.0;
+  SetSimdTier(previous);
 }
 
 /// Paper-scale encoder shape (hidden 256, 3 layers — Sec. V's GPU config),
 /// untrained weights: throughput only, where GEMM cost dominates the
-/// transcendentals and the int8 win is most visible.
+/// transcendentals.
 void BenchPaperShape(std::vector<std::pair<std::string, double>>* metrics) {
   Rng rng(7);
   core::T2VecConfig config;
@@ -193,7 +136,6 @@ void BenchPaperShape(std::vector<std::pair<std::string, double>>* metrics) {
   config.layers = 3;
   const geo::Token vocab_size = 1024;
   const core::EncoderDecoder model(config, vocab_size, rng);
-  const core::QuantizedEncoder quantized(model);
 
   std::vector<traj::TokenSeq> seqs;
   Rng token_rng(8);
@@ -209,8 +151,6 @@ void BenchPaperShape(std::vector<std::pair<std::string, double>>* metrics) {
   std::printf("\npaper-scale encoder (hidden 256, 3 layers, batch %zu x "
               "len %zu, untrained):\n", batch, len);
   SweepTiers("h256_encode_fp32", batch, [&] { model.EncodeBatch(seqs); },
-             metrics);
-  SweepTiers("h256_encode_int8", batch, [&] { quantized.EncodeBatch(seqs); },
              metrics);
 }
 
@@ -240,109 +180,36 @@ int main() {
   metrics.emplace_back("avx2_supported",
                        SimdTierSupported(SimdTier::kAvx2) ? 1.0 : 0.0);
 
-  // ---- Raw encoder sweep: precision x dispatch tier. --------------------
+  // ---- Raw encoder sweep per dispatch tier. ------------------------------
   std::vector<traj::TokenSeq> seqs;
   seqs.reserve(trips.size());
   for (const auto& trip : trips) seqs.push_back(model.EncoderTokens(trip));
-  model.PrepareQuantized();
 
   std::printf("\nbatch encode, %zu trajectories (trained model, hidden "
               "%zu):\n", seqs.size(), static_cast<size_t>(config.hidden));
   SweepTiers("encode_fp32", seqs.size(),
              [&] { model.EncodeTokenized(seqs); }, &metrics);
-  SweepTiers("encode_int8", seqs.size(),
-             [&] { model.EncodeQuantizedTokenized(seqs); }, &metrics);
-
-  {
-    // The acceptance ratio: best int8 tier over fp32 *scalar* (the
-    // pre-SIMD serving baseline).
-    const double fp32_scalar = Metric(metrics, "encode_fp32_rps_scalar");
-    const double int8_best =
-        std::max(Metric(metrics, "encode_int8_rps_scalar"),
-                 Metric(metrics, "encode_int8_rps_avx2"));
-    const double speedup = fp32_scalar > 0.0 ? int8_best / fp32_scalar : 0.0;
-    std::printf("  int8 speedup vs fp32 scalar:   %.2fx\n", speedup);
-    metrics.emplace_back("encode_int8_speedup_vs_fp32_scalar", speedup);
-  }
-
-  // ---- int8 accuracy cost: embedding error + fig5 kNN precision. --------
-  {
-    const nn::Matrix fp32 = model.EncodeTokenized(seqs);
-    const nn::Matrix int8 = model.EncodeQuantizedTokenized(seqs);
-    double max_err = 0.0;
-    for (size_t i = 0; i < fp32.size(); ++i) {
-      max_err = std::max(max_err, static_cast<double>(std::fabs(
-                                      fp32.data()[i] - int8.data()[i])));
-    }
-    const size_t num_queries = std::min<size_t>(50, trips.size() / 4);
-    const double overlap = KnnOverlap(fp32, int8, num_queries, 10);
-
-    // fig5 harness (Sec. V-C3): ground truth is each encoder's own k-NN on
-    // the originals; retrieval runs on downsampled queries + database. The
-    // identical Rng seed gives both encoders the same transformed
-    // trajectories, so the precision difference isolates what quantization
-    // costs on the task metric (neighbor swaps among near-equidistant
-    // embeddings cancel out; the strict overlap above does not forgive
-    // them).
-    const std::vector<traj::Trajectory> queries(
-        trips.begin(), trips.begin() + static_cast<ptrdiff_t>(num_queries));
-    const double r1 = 0.2, r2 = 0.0;
-    Rng fig5_fp32_rng(91);
-    Rng fig5_int8_rng(91);
-    const double fp32_precision = eval::KnnPrecisionOfT2Vec(
-        model, queries, trips, 10, r1, r2, fig5_fp32_rng);
-    const double int8_precision = eval::KnnPrecisionOfEncoder(
-        [&model](const std::vector<traj::Trajectory>& t) {
-          return model.EncodeQuantized(t);
-        },
-        queries, trips, 10, r1, r2, fig5_int8_rng);
-    const double delta = fp32_precision - int8_precision;
-    std::printf("\nint8 accuracy vs fp32 (%zu trajectories, %zu queries):\n"
-                "  max embedding error:           %.6f\n"
-                "  strict top-10 overlap:         %.4f\n"
-                "  fig5 precision@10 (r1=%.1f):   fp32 %.4f  int8 %.4f"
-                "  (delta %+.4f)\n",
-                seqs.size(), num_queries, max_err, overlap, r1,
-                fp32_precision, int8_precision, delta);
-    metrics.emplace_back("int8_max_embed_err", max_err);
-    metrics.emplace_back("int8_top10_overlap_vs_fp32", overlap);
-    metrics.emplace_back("fig5_knn_precision_at10_fp32", fp32_precision);
-    metrics.emplace_back("fig5_knn_precision_at10_int8", int8_precision);
-    metrics.emplace_back("int8_knn_precision_delta", delta);
-  }
 
   BenchPaperShape(&metrics);
 
-  // ---- Closed-loop service sweep (fp32, then quantized). ----------------
+  // ---- Closed-loop service sweep. ---------------------------------------
   const size_t clients = 8;
   const size_t requests_per_client = eval::Scaled(150, 30);
 
-  std::printf("\nclosed loop: %zu clients x %zu requests, max_batch %zu\n",
-              clients, requests_per_client, clients);
-  std::printf("%-10s %6s %12s %12s %12s %12s\n", "window_us", "enc",
-              "req/s", "mean_batch", "p50_us", "p99_us");
+  std::printf("\nclosed loop: %zu clients x %zu requests, max_batch %zu, "
+              "simd %s\n",
+              clients, requests_per_client, clients,
+              SimdTierName(ActiveSimdTier()));
+  std::printf("%-10s %12s %12s %12s %12s\n", "window_us", "req/s",
+              "mean_batch", "p50_us", "p99_us");
 
   for (const int window_us : {0, 100, 500, 2000}) {
     const WindowResult r =
-        RunClosedLoop(model, trips, clients, requests_per_client, window_us,
-                      /*quantized=*/false);
+        RunClosedLoop(model, trips, clients, requests_per_client, window_us);
     const double rps = static_cast<double>(r.requests) / r.seconds;
-    std::printf("%-10d %6s %12.1f %12.2f %12.1f %12.1f\n", r.window_us,
-                "fp32", rps, r.mean_batch, r.p50_us, r.p99_us);
+    std::printf("%-10d %12.1f %12.2f %12.1f %12.1f\n", r.window_us, rps,
+                r.mean_batch, r.p50_us, r.p99_us);
     const std::string prefix = "win" + std::to_string(window_us) + "us_";
-    metrics.emplace_back(prefix + "throughput_rps", rps);
-    metrics.emplace_back(prefix + "mean_batch", r.mean_batch);
-    metrics.emplace_back(prefix + "p50_us", r.p50_us);
-    metrics.emplace_back(prefix + "p99_us", r.p99_us);
-  }
-  for (const int window_us : {0, 500}) {
-    const WindowResult r =
-        RunClosedLoop(model, trips, clients, requests_per_client, window_us,
-                      /*quantized=*/true);
-    const double rps = static_cast<double>(r.requests) / r.seconds;
-    std::printf("%-10d %6s %12.1f %12.2f %12.1f %12.1f\n", r.window_us,
-                "int8", rps, r.mean_batch, r.p50_us, r.p99_us);
-    const std::string prefix = "qwin" + std::to_string(window_us) + "us_";
     metrics.emplace_back(prefix + "throughput_rps", rps);
     metrics.emplace_back(prefix + "mean_batch", r.mean_batch);
     metrics.emplace_back(prefix + "p50_us", r.p50_us);

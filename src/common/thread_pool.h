@@ -105,7 +105,7 @@ int GetNumThreads();
 /// scope on another thread — never see it, so overlapping scopes on
 /// different threads cannot leak into each other or into the process-wide
 /// setting. Used by the trainer to scope `T2VecConfig::num_threads` to
-/// RunBatch and by the embedding service to scope its flushes.
+/// RunBatch.
 class ScopedNumThreads {
  public:
   explicit ScopedNumThreads(int n);

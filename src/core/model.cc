@@ -146,10 +146,9 @@ double EncoderDecoder::RunBatch(const Batch& batch, SeqLoss* loss,
   return total_loss;
 }
 
-template <typename Stack>
-nn::Matrix EncodePacked(const nn::Embedding& embedding, const Stack& stack,
+nn::Matrix EncodePacked(const nn::Embedding& embedding, const nn::Gru& gru,
                         const std::vector<traj::TokenSeq>& seqs) {
-  nn::Matrix out(seqs.size(), stack.hidden());
+  nn::Matrix out(seqs.size(), gru.hidden());
   std::vector<size_t> order(seqs.size());
   std::iota(order.begin(), order.end(), size_t{0});
   DeterministicSort(order.begin(), order.end(), [&](size_t a, size_t b) {
@@ -168,7 +167,7 @@ nn::Matrix EncodePacked(const nn::Embedding& embedding, const Stack& stack,
 
   std::vector<geo::Token> ids;
   nn::Matrix final_h;
-  stack.ForwardPacked(
+  gru.ForwardPacked(
       batch_sizes,
       [&](size_t t, nn::Matrix* x) {
         ids.resize(batch_sizes[t]);
@@ -183,22 +182,9 @@ nn::Matrix EncodePacked(const nn::Embedding& embedding, const Stack& stack,
   return out;
 }
 
-template nn::Matrix EncodePacked(const nn::Embedding&, const nn::Gru&,
-                                 const std::vector<traj::TokenSeq>&);
-template nn::Matrix EncodePacked(const nn::Embedding&, const nn::QuantizedGru&,
-                                 const std::vector<traj::TokenSeq>&);
-
 nn::Matrix EncoderDecoder::EncodeBatch(
     const std::vector<traj::TokenSeq>& seqs) const {
   return EncodePacked(embedding_, encoder_, seqs);
-}
-
-QuantizedEncoder::QuantizedEncoder(const EncoderDecoder& model)
-    : embedding_(&model.embedding()), gru_(model.encoder()) {}
-
-nn::Matrix QuantizedEncoder::EncodeBatch(
-    const std::vector<traj::TokenSeq>& seqs) const {
-  return EncodePacked(*embedding_, gru_, seqs);
 }
 
 nn::ParamList EncoderDecoder::Params() {

@@ -11,7 +11,6 @@
 #include "nn/attention.h"
 #include "nn/embedding.h"
 #include "nn/gru.h"
-#include "nn/quant.h"
 #include "traj/tokenizer.h"
 
 /// \file
@@ -97,37 +96,15 @@ class EncoderDecoder {
   int num_threads_ = 0;
 };
 
-/// The packed, step-major inference forward behind every encoder: the fp32
-/// and int8 t2vec encoders and the VRNN baseline (`Stack` is nn::Gru or
-/// nn::QuantizedGru). Rows are stably sorted longest first; step t embeds
-/// only the tokens of the rows still active and the stack advances that
-/// prefix, so no row is padded or masked. Returns an N x hidden matrix
+/// The packed, step-major inference forward behind every encoder: the t2vec
+/// encoder and the VRNN baseline. Rows are stably sorted longest first;
+/// step t embeds only the tokens of the rows still active and `gru` advances
+/// that prefix, so no row is padded or masked. Returns an N x hidden matrix
 /// whose row i is the top layer's state after the last token of seqs[i]
 /// (the zero vector for an empty sequence), with the same bits whatever
 /// the other sequences are, at any thread count.
-template <typename Stack>
-nn::Matrix EncodePacked(const nn::Embedding& embedding, const Stack& stack,
+nn::Matrix EncodePacked(const nn::Embedding& embedding, const nn::Gru& gru,
                         const std::vector<traj::TokenSeq>& seqs);
-
-/// int8 inference twin of the encoder half: fp32 embedding lookups feeding a
-/// quantized GRU stack (nn/quant.h). Weights are captured (quantized) at
-/// construction from a trained model — typically once at serving-load time;
-/// rebuild after any further training. Encoding is deterministic across
-/// thread counts and SIMD dispatch tiers (the int8 dots are exact integers).
-class QuantizedEncoder {
- public:
-  explicit QuantizedEncoder(const EncoderDecoder& model);
-
-  /// int8 analogue of EncoderDecoder::EncodeBatch: same packed forward and
-  /// zero-vector-for-empty-sequence behavior; the GRU math runs int8.
-  nn::Matrix EncodeBatch(const std::vector<traj::TokenSeq>& seqs) const;
-
-  size_t hidden() const { return gru_.hidden(); }
-
- private:
-  const nn::Embedding* embedding_;
-  nn::QuantizedGru gru_;
-};
 
 }  // namespace t2vec::core
 

@@ -152,8 +152,7 @@ traj::TokenSeq T2Vec::TokenizeForEncoder(const traj::Trajectory& trip) const {
   return seq;
 }
 
-nn::Matrix T2Vec::EncodeSlices(const std::vector<traj::Trajectory>& trips,
-                               const BatchEncoder& encode_batch) const {
+nn::Matrix T2Vec::Encode(const std::vector<traj::Trajectory>& trips) const {
   // Encode in slices to bound the batch's buffers. Slices are independent
   // (the forward pass is const and each slice writes a disjoint row range of
   // `out`), so they parallelize with results bit-identical to a serial run.
@@ -170,7 +169,7 @@ nn::Matrix T2Vec::EncodeSlices(const std::vector<traj::Trajectory>& trips,
         for (size_t i = start; i < end; ++i) {
           seqs.push_back(TokenizeForEncoder(trips[i]));
         }
-        const nn::Matrix block = encode_batch(seqs);
+        const nn::Matrix block = model_->EncodeBatch(seqs);
         for (size_t i = start; i < end; ++i) {
           std::copy(block.Row(i - start), block.Row(i - start) + block.cols(),
                     out.Row(i));
@@ -178,12 +177,6 @@ nn::Matrix T2Vec::EncodeSlices(const std::vector<traj::Trajectory>& trips,
       },
       config_.num_threads);
   return out;
-}
-
-nn::Matrix T2Vec::Encode(const std::vector<traj::Trajectory>& trips) const {
-  return EncodeSlices(trips, [this](const std::vector<traj::TokenSeq>& seqs) {
-    return model_->EncodeBatch(seqs);
-  });
 }
 
 std::vector<float> T2Vec::EncodeOne(const traj::Trajectory& trip) const {
@@ -194,29 +187,6 @@ std::vector<float> T2Vec::EncodeOne(const traj::Trajectory& trip) const {
 nn::Matrix T2Vec::EncodeTokenized(
     const std::vector<traj::TokenSeq>& seqs) const {
   return model_->EncodeBatch(seqs);
-}
-
-const QuantizedEncoder& T2Vec::Quantized() const {
-  sync::MutexLock lock(&quant_->mu);
-  if (!quant_->enc) {
-    quant_->enc = std::make_unique<QuantizedEncoder>(*model_);
-  }
-  return *quant_->enc;  // Never reset once built, so the ref stays valid.
-}
-
-void T2Vec::PrepareQuantized() const { Quantized(); }
-
-nn::Matrix T2Vec::EncodeQuantizedTokenized(
-    const std::vector<traj::TokenSeq>& seqs) const {
-  return Quantized().EncodeBatch(seqs);
-}
-
-nn::Matrix T2Vec::EncodeQuantized(
-    const std::vector<traj::Trajectory>& trips) const {
-  const QuantizedEncoder& enc = Quantized();  // Build before going parallel.
-  return EncodeSlices(trips, [&enc](const std::vector<traj::TokenSeq>& seqs) {
-    return enc.EncodeBatch(seqs);
-  });
 }
 
 double T2Vec::Distance(const traj::Trajectory& a,

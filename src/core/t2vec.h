@@ -1,13 +1,11 @@
 #ifndef T2VEC_CORE_T2VEC_H_
 #define T2VEC_CORE_T2VEC_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
-#include "common/sync.h"
 #include "core/config.h"
 #include "core/model.h"
 #include "core/trainer.h"
@@ -69,22 +67,6 @@ class T2Vec {
   /// which is the contract the serving layer's micro-batching relies on.
   nn::Matrix EncodeTokenized(const std::vector<traj::TokenSeq>& seqs) const;
 
-  /// int8 variants of Encode / EncodeTokenized for serving: roughly the
-  /// fp32 representations at a fraction of the cost, via the quantized
-  /// encoder (core/model.h QuantizedEncoder). Results differ from fp32 by a
-  /// small, measured error (EXPERIMENTS.md) but are themselves
-  /// deterministic across thread counts and SIMD tiers. The quantized
-  /// weights are built lazily on first use and cached; call
-  /// PrepareQuantized() to pay that cost eagerly (e.g. at server startup).
-  nn::Matrix EncodeQuantized(const std::vector<traj::Trajectory>& trips) const;
-  nn::Matrix EncodeQuantizedTokenized(
-      const std::vector<traj::TokenSeq>& seqs) const;
-
-  /// Builds the quantized encoder now (idempotent, thread-safe). The cache
-  /// snapshots the current weights; it is never invalidated by later
-  /// training, matching the load-then-serve lifecycle.
-  void PrepareQuantized() const;
-
   /// Euclidean distance between the two trajectories' representations.
   /// O(n + |v|) total (paper Sec. IV-D).
   double Distance(const traj::Trajectory& a, const traj::Trajectory& b) const;
@@ -111,41 +93,19 @@ class T2Vec {
   T2Vec& operator=(T2Vec&&) = default;
 
  private:
-  /// Lazily-built quantized encoder. Behind a unique_ptr so T2Vec stays
-  /// movable (sync::Mutex is not).
-  struct QuantCache {
-    sync::Mutex mu;
-    std::unique_ptr<QuantizedEncoder> enc GUARDED_BY(mu);
-  };
-
   /// Tokenizes a trajectory the way the encoder expects (reversed when
   /// config_.reverse_source is set).
   traj::TokenSeq TokenizeForEncoder(const traj::Trajectory& trip) const;
-
-  /// An fp32 or int8 EncodeBatch over one slice of token sequences.
-  using BatchEncoder =
-      std::function<nn::Matrix(const std::vector<traj::TokenSeq>&)>;
-
-  /// The slice loop behind Encode and EncodeQuantized: tokenizes `trips`
-  /// and runs `encode_batch` over 256-trip slices on the pool. Row i of the
-  /// result is trip i's vector, bit-identical at any thread count.
-  nn::Matrix EncodeSlices(const std::vector<traj::Trajectory>& trips,
-                          const BatchEncoder& encode_batch) const;
-
-  /// The cached quantized encoder, building it on first call.
-  const QuantizedEncoder& Quantized() const;
 
   T2Vec(T2VecConfig config, std::unique_ptr<geo::HotCellVocab> vocab,
         std::unique_ptr<EncoderDecoder> model)
       : config_(config),
         vocab_(std::move(vocab)),
-        model_(std::move(model)),
-        quant_(std::make_unique<QuantCache>()) {}
+        model_(std::move(model)) {}
 
   T2VecConfig config_;
   std::unique_ptr<geo::HotCellVocab> vocab_;
   std::unique_ptr<EncoderDecoder> model_;
-  mutable std::unique_ptr<QuantCache> quant_;
 };
 
 /// Adapter exposing a trained T2Vec as a dist::Measure so the evaluation

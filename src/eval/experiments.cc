@@ -227,10 +227,10 @@ double KnnPrecisionOfMeasure(const dist::Measure& measure,
   return total / static_cast<double>(queries.size());
 }
 
-double KnnPrecisionOfEncoder(const EncodeFn& encode,
-                             const std::vector<traj::Trajectory>& queries,
-                             const std::vector<traj::Trajectory>& database,
-                             size_t k, double r1, double r2, Rng& rng) {
+double KnnPrecisionOfT2Vec(const core::T2Vec& model,
+                           const std::vector<traj::Trajectory>& queries,
+                           const std::vector<traj::Trajectory>& database,
+                           size_t k, double r1, double r2, Rng& rng) {
   T2VEC_CHECK(!queries.empty());
   std::vector<traj::Trajectory> tq, tdb;
   tq.reserve(queries.size());
@@ -239,11 +239,11 @@ double KnnPrecisionOfEncoder(const EncodeFn& encode,
   for (const auto& d : database) tdb.push_back(TransformOne(d, r1, r2, rng));
 
   // lint:allow(raw-index-ctor) ground truth must be the exact scan, always.
-  const core::VectorIndex truth_index{encode(database)};
+  const core::VectorIndex truth_index{model.Encode(database)};
   // lint:allow(raw-index-ctor) same: precision is measured against exact kNN.
-  const core::VectorIndex trans_index{encode(tdb)};
-  const nn::Matrix query_vecs = encode(queries);
-  const nn::Matrix tq_vecs = encode(tq);
+  const core::VectorIndex trans_index{model.Encode(tdb)};
+  const nn::Matrix query_vecs = model.Encode(queries);
+  const nn::Matrix tq_vecs = model.Encode(tq);
 
   std::vector<double> precisions(queries.size());
   ParallelFor(0, queries.size(), 1, [&](size_t i) {
@@ -256,17 +256,6 @@ double KnnPrecisionOfEncoder(const EncodeFn& encode,
   double total = 0.0;
   for (double p : precisions) total += p;
   return total / static_cast<double>(queries.size());
-}
-
-double KnnPrecisionOfT2Vec(const core::T2Vec& model,
-                           const std::vector<traj::Trajectory>& queries,
-                           const std::vector<traj::Trajectory>& database,
-                           size_t k, double r1, double r2, Rng& rng) {
-  return KnnPrecisionOfEncoder(
-      [&model](const std::vector<traj::Trajectory>& trips) {
-        return model.Encode(trips);
-      },
-      queries, database, k, r1, r2, rng);
 }
 
 }  // namespace t2vec::eval

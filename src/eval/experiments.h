@@ -1,7 +1,6 @@
 #ifndef T2VEC_EVAL_EXPERIMENTS_H_
 #define T2VEC_EVAL_EXPERIMENTS_H_
 
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -123,19 +122,8 @@ double KnnPrecisionOfMeasure(const dist::Measure& measure,
                              const std::vector<traj::Trajectory>& database,
                              size_t k, double r1, double r2, Rng& rng);
 
-/// Same protocol for any trajectory encoder (rows of the returned matrix are
-/// aligned with the input trajectories). Lets callers run the fig5 harness
-/// over alternative encode paths — e.g. int8-quantized inference — and
-/// compare precision against the fp32 encoder under identical transforms
-/// (seed the Rng the same way for both runs).
-using EncodeFn =
-    std::function<nn::Matrix(const std::vector<traj::Trajectory>&)>;
-double KnnPrecisionOfEncoder(const EncodeFn& encode,
-                             const std::vector<traj::Trajectory>& queries,
-                             const std::vector<traj::Trajectory>& database,
-                             size_t k, double r1, double r2, Rng& rng);
-
-/// Same for t2vec (fp32 encode path).
+/// Same for t2vec: ground truth and retrieval are exact kNN over encoded
+/// vectors.
 double KnnPrecisionOfT2Vec(const core::T2Vec& model,
                            const std::vector<traj::Trajectory>& queries,
                            const std::vector<traj::Trajectory>& database,

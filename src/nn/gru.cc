@@ -48,8 +48,8 @@ void UnpackColumns(const Matrix& src, std::initializer_list<Matrix*> dsts) {
   }
 }
 
-}  // namespace
-
+// h = (1 − z) ⊙ h⁻ + z ⊙ c, the state update closing every GRU step. `h`
+// may alias `h_prev`.
 void GruStateUpdate(ConstMatrixView z, ConstMatrixView c,
                     ConstMatrixView h_prev, MatrixView h) {
   for (size_t b = 0; b < h.rows; ++b) {
@@ -63,36 +63,7 @@ void GruStateUpdate(ConstMatrixView z, ConstMatrixView c,
   }
 }
 
-void RunPackedLayers(size_t layers, size_t hidden,
-                     const std::vector<size_t>& batch_sizes,
-                     const PackedStepInput& input, const PackedLayerStep& step,
-                     Matrix* final_h) {
-  T2VEC_CHECK(!batch_sizes.empty());
-  const size_t rows = batch_sizes.front();
-  std::vector<Matrix> hs(layers, Matrix(rows, hidden));  // Zero h0.
-  Matrix x;
-  Matrix pre(rows, 3 * hidden);
-  Matrix z(rows, hidden), r(rows, hidden), c(rows, hidden), rh(rows, hidden);
-  size_t prev_active = rows;
-  for (size_t t = 0; t < batch_sizes.size(); ++t) {
-    const size_t active = batch_sizes[t];
-    T2VEC_CHECK(active >= 1 && active <= prev_active);
-    prev_active = active;
-    input(t, &x);
-    T2VEC_CHECK(x.rows() == active);
-    const GruLayer::StepGates gates{
-        RowBlock(&z, 0, active), RowBlock(&r, 0, active),
-        RowBlock(&c, 0, active), RowBlock(&rh, 0, active)};
-    const MatrixView active_pre = RowBlock(&pre, 0, active);
-    ConstMatrixView layer_in = x;
-    for (size_t l = 0; l < layers; ++l) {
-      const MatrixView h = RowBlock(&hs[l], 0, active);
-      step(l, layer_in, h, active_pre, gates);
-      layer_in = h;
-    }
-  }
-  *final_h = std::move(hs.back());
-}
+}  // namespace
 
 GruLayer::GruLayer(const std::string& name, size_t in_dim, size_t hidden,
                    Rng& rng)
@@ -380,13 +351,35 @@ void Gru::Backward(const std::vector<Matrix>& xs, const GruState* init,
 
 void Gru::ForwardPacked(const std::vector<size_t>& batch_sizes,
                         const PackedStepInput& input, Matrix* final_h) const {
-  RunPackedLayers(
-      layers(), hidden(), batch_sizes, input,
-      [this](size_t l, ConstMatrixView x, MatrixView h, MatrixView pre,
-             const GruLayer::StepGates& gates) {
-        layers_[l].Step(x, h, pre, gates, h);
-      },
-      final_h);
+  T2VEC_CHECK(!batch_sizes.empty());
+  const size_t rows = batch_sizes.front();
+  const size_t dim = hidden();
+  std::vector<Matrix> hs(layers(), Matrix(rows, dim));  // Zero h0.
+  Matrix x;
+  Matrix pre(rows, 3 * dim);
+  Matrix z(rows, dim), r(rows, dim), c(rows, dim), rh(rows, dim);
+  size_t prev_active = rows;
+  for (size_t t = 0; t < batch_sizes.size(); ++t) {
+    // Step t advances only the leading `active` rows; the rest keep the
+    // state of their own last step, so hs.back() ends up holding each row's
+    // top-layer state after its last token.
+    const size_t active = batch_sizes[t];
+    T2VEC_CHECK(active >= 1 && active <= prev_active);
+    prev_active = active;
+    input(t, &x);
+    T2VEC_CHECK(x.rows() == active);
+    const GruLayer::StepGates gates{
+        RowBlock(&z, 0, active), RowBlock(&r, 0, active),
+        RowBlock(&c, 0, active), RowBlock(&rh, 0, active)};
+    const MatrixView active_pre = RowBlock(&pre, 0, active);
+    ConstMatrixView layer_in = x;
+    for (size_t l = 0; l < layers(); ++l) {
+      const MatrixView h = RowBlock(&hs[l], 0, active);
+      layers_[l].Step(layer_in, h, active_pre, gates, h);
+      layer_in = h;
+    }
+  }
+  *final_h = std::move(hs.back());
 }
 
 ParamList Gru::Params() {

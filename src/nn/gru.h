@@ -93,25 +93,6 @@ class GruLayer {
   size_t in_dim() const { return wz_.value.rows(); }
   size_t hidden() const { return uz_.value.rows(); }
 
-  /// Read-only views of the named weights, for derived inference engines
-  /// (nn/quant.h builds its int8 packs from these). Pointers are valid for
-  /// the layer's lifetime.
-  struct WeightRefs {
-    const Matrix* wz;
-    const Matrix* wr;
-    const Matrix* wc;
-    const Matrix* uz;
-    const Matrix* ur;
-    const Matrix* uc;
-    const Matrix* bz;
-    const Matrix* br;
-    const Matrix* bc;
-  };
-  WeightRefs Weights() const {
-    return {&wz_.value, &wr_.value, &wc_.value, &uz_.value, &ur_.value,
-            &uc_.value, &bz_.value, &br_.value, &bc_.value};
-  }
-
   ParamList Params();
 
  private:
@@ -146,33 +127,9 @@ class GruLayer {
   mutable std::unique_ptr<PackCache> packs_;
 };
 
-/// h = (1 − z) ⊙ h⁻ + z ⊙ c, the state update closing every GRU step (fp32
-/// and int8 alike). `h` may alias `h_prev`.
-void GruStateUpdate(ConstMatrixView z, ConstMatrixView c,
-                    ConstMatrixView h_prev, MatrixView h);
-
 /// Fills `x` with the inputs of packed step t: one row per active sequence,
 /// in packed row order.
 using PackedStepInput = std::function<void(size_t t, Matrix* x)>;
-
-/// Advances layer `l` one step over the active rows: `x` is its input, `h`
-/// its running state (updated in place); `pre` and `gates` are scratch of
-/// the same row count (GruLayer::Step).
-using PackedLayerStep =
-    std::function<void(size_t l, ConstMatrixView x, MatrixView h,
-                       MatrixView pre, const GruLayer::StepGates& gates)>;
-
-/// The step-major loop behind Gru::ForwardPacked and
-/// QuantizedGru::ForwardPacked, from zero initial states. At step t it
-/// fetches the batch_sizes[t] active rows' inputs and runs `step` for every
-/// layer over that row prefix, feeding each layer's new state to the next.
-/// Rows past the prefix keep the state of their own last step, so
-/// `final_h` (batch_sizes[0] x hidden) ends up holding each row's top-layer
-/// state after its last token.
-void RunPackedLayers(size_t layers, size_t hidden,
-                     const std::vector<size_t>& batch_sizes,
-                     const PackedStepInput& input, const PackedLayerStep& step,
-                     Matrix* final_h);
 
 /// Per-layer hidden states (the seq2seq handoff between encoder and decoder).
 struct GruState {

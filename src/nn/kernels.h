@@ -2,13 +2,11 @@
 #define T2VEC_NN_KERNELS_H_
 
 #include <cstddef>
-#include <cstdint>
 
 #include "common/cpu.h"
 
 /// \file
-/// Runtime-dispatched inner kernels shared by the GEMM, distance, and
-/// quantized-inference paths.
+/// Runtime-dispatched inner kernels shared by the GEMM and distance paths.
 ///
 /// Every entry point exists in (at least) two implementations — a portable
 /// scalar reference (kernels_scalar.cc) and an AVX2+FMA version
@@ -21,8 +19,6 @@
 /// f64 kernels use 8 double lanes (two ymm registers) with explicit
 /// std::fma on the scalar side so -ffp-contract cannot desynchronize the
 /// tiers, and the fixed pairwise combine ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7)).
-/// The int8 kernel accumulates exact int32 products, so any evaluation
-/// order gives the same answer.
 ///
 /// Tier selection comes from common/cpu.h (CPU probe + T2VEC_SIMD
 /// override). simd_kernels_test memcmp-compares the tiers on every kernel.
@@ -68,9 +64,6 @@ struct KernelOps {
   void (*sqdist4_f64)(const double* q, const float* r0, const float* r1,
                       const float* r2, const float* r3, size_t n,
                       double* out);
-
-  /// Exact int8 x int8 -> int32 dot product (no saturation at any width).
-  int32_t (*dot_i8)(const int8_t* x, const int8_t* y, size_t k);
 };
 
 /// The table for `tier`, falling back to scalar when the tier has no

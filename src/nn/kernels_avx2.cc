@@ -243,34 +243,9 @@ void SqDist4Avx2(const double* __restrict q, const float* __restrict r0,
   out[3] = CombineF64(lo3, hi3, SqDistTail(q, r3, i, n));
 }
 
-int32_t DotI8Avx2(const int8_t* __restrict x, const int8_t* __restrict y,
-                  size_t k) {
-  // Sign-extend to int16 and use vpmaddwd: products and adjacent-pair sums
-  // stay exact in int32 (max 2 * 127 * 127), so no saturation anywhere —
-  // this is why vpmaddubsw (which saturates) is NOT used. Integer sums are
-  // associative, so the lane order here needs no scalar mirroring.
-  __m256i acc = _mm256_setzero_si256();
-  size_t p = 0;
-  for (; p + 16 <= k; p += 16) {
-    const __m256i xv = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + p)));
-    const __m256i yv = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(y + p)));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(xv, yv));
-  }
-  alignas(32) int32_t lanes[8];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  int32_t s = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) +
-              ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
-  for (; p < k; ++p) {
-    s += static_cast<int32_t>(x[p]) * static_cast<int32_t>(y[p]);
-  }
-  return s;
-}
-
 constexpr KernelOps kAvx2Ops = {
-    "avx2",     DotAvx2,    Dot4Avx2,   Tile8x32Avx2, SqNormAvx2,
-    DotF64Avx2, SqDistAvx2, SqDist4Avx2, DotI8Avx2,
+    "avx2",     DotAvx2,    Dot4Avx2,    Tile8x32Avx2,
+    SqNormAvx2, DotF64Avx2, SqDistAvx2, SqDist4Avx2,
 };
 
 }  // namespace

@@ -167,19 +167,9 @@ void SqDist4Scalar(const double* __restrict q, const float* __restrict r0,
   }
 }
 
-int32_t DotI8Scalar(const int8_t* __restrict x, const int8_t* __restrict y,
-                    size_t k) {
-  int32_t acc = 0;
-  for (size_t p = 0; p < k; ++p) {
-    acc += static_cast<int32_t>(x[p]) * static_cast<int32_t>(y[p]);
-  }
-  return acc;
-}
-
 constexpr KernelOps kScalarOps = {
-    "scalar",      DotScalar,    Dot4Scalar,    Tile8x32Scalar,
-    SqNormScalar,  DotF64Scalar, SqDistScalar,  SqDist4Scalar,
-    DotI8Scalar,
+    "scalar",     DotScalar,    Dot4Scalar,   Tile8x32Scalar,
+    SqNormScalar, DotF64Scalar, SqDistScalar, SqDist4Scalar,
 };
 
 }  // namespace

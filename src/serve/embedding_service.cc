@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/macros.h"
-#include "common/thread_pool.h"
 #include "nn/matrix.h"
 
 namespace t2vec::serve {
@@ -25,8 +24,6 @@ EmbeddingService::EmbeddingService(const core::T2Vec* model,
   T2VEC_CHECK(model_ != nullptr);
   T2VEC_CHECK(options_.queue_capacity >= 1);
   T2VEC_CHECK(options_.max_batch >= 1);
-  // Pay the int8 weight-quantization cost here, not on the first request.
-  if (options_.quantized) model_->PrepareQuantized();
   dispatcher_ = std::thread([this] { DispatchLoop(); });
 }
 
@@ -123,12 +120,7 @@ void EmbeddingService::Flush(std::vector<Request> batch) {
   for (const Request& request : live) seqs.push_back(request.tokens);
 
   const Clock::time_point flush_start = Clock::now();
-  nn::Matrix vectors;
-  {
-    ScopedNumThreads scoped(options_.num_threads);
-    vectors = options_.quantized ? model_->EncodeQuantizedTokenized(seqs)
-                                 : model_->EncodeTokenized(seqs);
-  }
+  const nn::Matrix vectors = model_->EncodeTokenized(seqs);
   const Clock::time_point flush_end = Clock::now();
 
   metrics_.flushes.Increment();

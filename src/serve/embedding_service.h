@@ -47,16 +47,6 @@ struct ServiceOptions {
   /// How long the dispatcher waits for more arrivals after the oldest
   /// pending request, before flushing a partial batch. 0 = flush eagerly.
   std::chrono::microseconds batch_window{1000};
-  /// Thread-count override for the encoder flush (0 = global default),
-  /// scoped to the dispatcher thread only. Results are bit-identical at any
-  /// setting (common/thread_pool.h).
-  int num_threads = 0;
-  /// Encode with the int8 quantized encoder (T2Vec::EncodeQuantized*)
-  /// instead of fp32. Faster, with a small measured accuracy cost
-  /// (EXPERIMENTS.md); per-request results remain bit-identical across
-  /// thread counts, batch compositions, and SIMD tiers. The quantized
-  /// weights are built once in the service constructor.
-  bool quantized = false;
 };
 
 /// A single-model online encoder with micro-batching.

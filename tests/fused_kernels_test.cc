@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -189,22 +191,33 @@ TEST(FusedGruTest, StepMatchesNaiveDoubleReference) {
       c(batch, hidden), rh(batch, hidden), h(batch, hidden);
   layer.Step(x, h_prev, pre, {z, r, c, rh}, h);
 
-  const GruLayer::WeightRefs w = layer.Weights();
+  // The named weights, looked up through Params().
+  std::map<std::string, const Matrix*> w;
+  for (Parameter* p : layer.Params()) w[p->name] = &p->value;
+  const Matrix& wz = *w.at("gru.Wz");
+  const Matrix& wr = *w.at("gru.Wr");
+  const Matrix& wc = *w.at("gru.Wc");
+  const Matrix& uz = *w.at("gru.Uz");
+  const Matrix& ur = *w.at("gru.Ur");
+  const Matrix& uc = *w.at("gru.Uc");
+  const Matrix& bz = *w.at("gru.bz");
+  const Matrix& br = *w.at("gru.br");
+  const Matrix& bc = *w.at("gru.bc");
   for (size_t b = 0; b < batch; ++b) {
     std::vector<double> rd(hidden), rhd(hidden);
     for (size_t j = 0; j < hidden; ++j) {
-      rd[j] = Sigmoid(RowTimesCol(x, b, *w.wr, j) +
-                      RowTimesCol(h_prev, b, *w.ur, j) + (*w.br)(0, j));
+      rd[j] = Sigmoid(RowTimesCol(x, b, wr, j) +
+                      RowTimesCol(h_prev, b, ur, j) + br(0, j));
       rhd[j] = rd[j] * h_prev(b, j);
     }
     for (size_t j = 0; j < hidden; ++j) {
-      const double zd = Sigmoid(RowTimesCol(x, b, *w.wz, j) +
-                                RowTimesCol(h_prev, b, *w.uz, j) +
-                                (*w.bz)(0, j));
+      const double zd = Sigmoid(RowTimesCol(x, b, wz, j) +
+                                RowTimesCol(h_prev, b, uz, j) +
+                                bz(0, j));
       double uc_term = 0.0;
-      for (size_t i = 0; i < hidden; ++i) uc_term += rhd[i] * (*w.uc)(i, j);
+      for (size_t i = 0; i < hidden; ++i) uc_term += rhd[i] * uc(i, j);
       const double cd =
-          std::tanh(RowTimesCol(x, b, *w.wc, j) + uc_term + (*w.bc)(0, j));
+          std::tanh(RowTimesCol(x, b, wc, j) + uc_term + bc(0, j));
       const double hd = (1.0 - zd) * h_prev(b, j) + zd * cd;
       EXPECT_NEAR(z(b, j), zd, 1e-5) << "z " << b << "," << j;
       EXPECT_NEAR(r(b, j), rd[j], 1e-5) << "r " << b << "," << j;

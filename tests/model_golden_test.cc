@@ -8,8 +8,7 @@
 //     cell pretraining, mixed-length pairs (so the masks matter), and
 //     attention off and on;
 //   - EncodeOne over a fixed trip set that includes an empty and a
-//     one-point trip, plus Encode (two 256-trip slices) and EncodeQuantized
-//     of the same set;
+//     one-point trip, plus Encode (two 256-trip slices) of the same set;
 //   - the VRNN baseline's parameters after a few Train iterations, and its
 //     EncodeBatch.
 // Each digest must hold on both SIMD tiers at 1 and 3 threads.
@@ -164,7 +163,7 @@ TEST(ModelGoldenTest, TrainedParamsWithAttention) {
   CheckTrainedParams(/*use_attention=*/true, 0xf673552du);
 }
 
-TEST(ModelGoldenTest, EncodeOneEncodeAndEncodeQuantized) {
+TEST(ModelGoldenTest, EncodeOneAndEncode) {
   Result<T2Vec> trained =
       T2Vec::TrainChecked(TrainTrips(), TinyConfig(/*use_attention=*/false));
   ASSERT_TRUE(trained.ok()) << trained.status().ToString();
@@ -180,8 +179,6 @@ TEST(ModelGoldenTest, EncodeOneEncodeAndEncodeQuantized) {
     }
     checker.Check("EncodeOne", one, 0xc79f1fd2u);
     checker.Check("Encode", MatrixDigest(model.Encode(trips)), 0xc79f1fd2u);
-    checker.Check("EncodeQuantized",
-                  MatrixDigest(model.EncodeQuantized(trips)), 0x7a7f5300u);
   });
   DigestChecker::SkipUnlessReference();
 }

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/t2vec.h"
 #include "eval/experiments.h"
 #include "serve/embedding_service.h"
@@ -74,8 +75,8 @@ TEST_F(ServeTest, SubmitBitIdenticalToEncodeOneAcrossThreadCounts) {
 
   for (const int threads : {1, 2, 8}) {
     SCOPED_TRACE("num_threads=" + std::to_string(threads));
+    SetNumThreads(threads);
     ServiceOptions options;
-    options.num_threads = threads;
     options.max_batch = 8;
     options.batch_window = std::chrono::microseconds(500);
     EmbeddingService service(&Model(), options);
@@ -119,6 +120,7 @@ TEST_F(ServeTest, SubmitBitIdenticalToEncodeOneAcrossThreadCounts) {
     EXPECT_EQ(service.metrics().completed.value(),
               static_cast<int64_t>(Trips().size()));
     EXPECT_GE(service.metrics().flushes.value(), 1);
+    SetNumThreads(0);
   }
 }
 
@@ -142,8 +144,8 @@ TEST_F(ServeTest, MixedLengthBatchMatchesEncodeOne) {
 
   for (const int threads : {1, 2, 8}) {
     SCOPED_TRACE("num_threads=" + std::to_string(threads));
+    SetNumThreads(threads);
     ServiceOptions options;
-    options.num_threads = threads;
     // The batch fills exactly when the last trip arrives; the long window
     // only bounds a stalled submitter.
     options.max_batch = trips.size();
@@ -163,6 +165,7 @@ TEST_F(ServeTest, MixedLengthBatchMatchesEncodeOne) {
               static_cast<int64_t>(trips.size()));
     // One flush carried every row, whatever its length.
     EXPECT_EQ(service.metrics().flushes.value(), 1);
+    SetNumThreads(0);
   }
 }
 

@@ -196,29 +196,6 @@ TEST(SimdKernelsTest, SqDist4MatchesFourSqDistCallsOnEveryTier) {
   }
 }
 
-TEST(SimdKernelsTest, Int8DotExactAndIdentical) {
-  if (!HaveAvx2()) GTEST_SKIP() << "no AVX2 on this machine";
-  const KernelOps& s = KernelsFor(SimdTier::kScalar);
-  const KernelOps& v = KernelsFor(SimdTier::kAvx2);
-  Rng rng(14);
-  for (size_t k : {0u, 1u, 15u, 16u, 17u, 33u, 64u, 200u}) {
-    std::vector<int8_t> x(k), y(k);
-    for (size_t i = 0; i < k; ++i) {
-      x[i] = static_cast<int8_t>(static_cast<int>(rng.UniformInt(256)) - 128);
-      y[i] = static_cast<int8_t>(static_cast<int>(rng.UniformInt(256)) - 128);
-    }
-    EXPECT_EQ(s.dot_i8(x.data(), y.data(), k), v.dot_i8(x.data(), y.data(), k))
-        << "dot_i8 k=" << k;
-  }
-  // The worst case (-128 * -128 everywhere) must not saturate any
-  // intermediate width.
-  const size_t k = 96;
-  std::vector<int8_t> worst(k, static_cast<int8_t>(-128));
-  const int32_t expect = static_cast<int32_t>(k) * 128 * 128;
-  EXPECT_EQ(s.dot_i8(worst.data(), worst.data(), k), expect);
-  EXPECT_EQ(v.dot_i8(worst.data(), worst.data(), k), expect);
-}
-
 TEST(SimdKernelsTest, UnsupportedTierFallsBackToScalarTable) {
   // KernelsFor never returns a table the machine cannot execute.
   if (HaveAvx2()) GTEST_SKIP() << "machine has AVX2; fallback untestable";

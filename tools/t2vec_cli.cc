@@ -15,8 +15,10 @@
 // (--index exact|lsh|ivf plus --nlist/--nprobe/--lsh-tables/--lsh-bits):
 // the retrieval backend is a config choice, never hard-coded.
 //
-// Exit status is non-zero on any error; diagnostics go to stderr.
+// A flag the subcommand does not read is an error. Exit status is non-zero
+// on any error; diagnostics go to stderr.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -48,7 +50,7 @@ class Flags {
     for (int i = first; i < argc; ++i) {
       if (std::strncmp(argv[i], "--", 2) != 0) continue;
       // A flag followed by another flag (or nothing) is boolean, e.g.
-      // --no-pretrain / --quantized; otherwise it consumes the next arg.
+      // --no-pretrain; otherwise it consumes the next arg.
       // insert_or_assign: GCC 12's -Wrestrict miscounts the inlined
       // char-pointer operator= here at -O3.
       if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
@@ -73,6 +75,16 @@ class Flags {
     return it == values_.end() ? fallback : std::atof(it->second.c_str());
   }
   bool Has(const std::string& key) const { return values_.count(key) > 0; }
+
+  /// The first flag given that is not in `known`, or "" when there is none.
+  std::string FirstUnknown(const std::vector<std::string>& known) const {
+    for (const auto& [key, value] : values_) {
+      if (std::find(known.begin(), known.end(), key) == known.end()) {
+        return key;
+      }
+    }
+    return "";
+  }
 
  private:
   std::map<std::string, std::string> values_;
@@ -296,8 +308,6 @@ int CmdServeBench(const Flags& flags) {
   options.max_batch = static_cast<size_t>(
       flags.GetInt("max-batch", static_cast<long>(clients)));
   options.queue_capacity = 4 * clients;
-  options.quantized = flags.Has("quantized");
-  if (options.quantized) std::printf("encoder: int8 quantized\n");
   serve::EmbeddingService service(&model.value(), options);
 
   const std::vector<traj::Trajectory>& trips = data.value().trajectories();
@@ -396,10 +406,6 @@ int CmdServer(const Flags& flags) {
       std::chrono::microseconds(flags.GetInt("window-us", 500));
   options.service.max_batch =
       static_cast<size_t>(flags.GetInt("max-batch", 32));
-  options.service.quantized = flags.Has("quantized");
-  if (options.service.quantized) {
-    std::fprintf(stderr, "encoder: int8 quantized\n");
-  }
   // Overload governance (DESIGN.md §8.4): connection cap and reaping
   // timeouts for slow or dead peers.
   options.max_connections =
@@ -449,14 +455,54 @@ void PrintUsage() {
       "              [index flags]\n"
       "  reconstruct --model F --data F [--query-index I] [--drop R]\n"
       "  serve-bench --model F --data F [--clients C] [--requests N]\n"
-      "              [--window-us W] [--max-batch B] [--quantized] [--k K]\n"
+      "              [--window-us W] [--max-batch B] [--k K]\n"
       "              [index flags]\n"
       "  server      --model F --data-dir D [--port P] [--run-seconds S]\n"
       "              [--window-us W] [--max-batch B] [--compact-bytes N]\n"
-      "              [--quantized] [--max-conns N] [--idle-timeout-ms T]\n"
+      "              [--max-conns N] [--idle-timeout-ms T]\n"
       "              [--read-timeout-ms T] [--drain-ms T] [index flags]\n"
       "  index flags: --index exact|lsh|ivf [--nlist N] [--nprobe P]\n"
       "              [--ivf-iters I] [--lsh-tables T] [--lsh-bits B]\n");
+}
+
+// A subcommand and every flag it reads. Flags accepts any --key, so
+// without this list a typo (--nprob) or a retired flag would silently keep
+// the default.
+struct Command {
+  const char* name;
+  int (*run)(const Flags&);
+  std::vector<std::string> flags;
+};
+
+std::vector<Command> Commands() {
+  auto with_index_flags = [](std::vector<std::string> flags) {
+    for (const char* f :
+         {"index", "nlist", "nprobe", "ivf-iters", "lsh-tables", "lsh-bits"}) {
+      flags.emplace_back(f);
+    }
+    return flags;
+  };
+  return {
+      {"generate", CmdGenerate, {"out", "count", "preset", "seed"}},
+      {"train",
+       CmdTrain,
+       {"data", "model", "iters", "hidden", "cell-size", "loss", "no-pretrain",
+        "checkpoint-dir", "checkpoint-every", "resume"}},
+      {"encode", CmdEncode, {"model", "data", "out"}},
+      {"knn", CmdKnn,
+       with_index_flags({"model", "data", "query-index", "k"})},
+      {"reconstruct",
+       CmdReconstruct,
+       {"model", "data", "query-index", "drop", "seed"}},
+      {"serve-bench", CmdServeBench,
+       with_index_flags({"model", "data", "clients", "requests", "window-us",
+                         "max-batch", "k"})},
+      {"server", CmdServer,
+       with_index_flags({"model", "data-dir", "port", "run-seconds",
+                         "window-us", "max-batch", "compact-bytes",
+                         "max-conns", "idle-timeout-ms", "read-timeout-ms",
+                         "drain-ms"})},
+  };
 }
 
 }  // namespace
@@ -467,14 +513,15 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string command = argv[1];
-  const Flags flags(argc, argv, 2);
-  if (command == "generate") return CmdGenerate(flags);
-  if (command == "train") return CmdTrain(flags);
-  if (command == "encode") return CmdEncode(flags);
-  if (command == "knn") return CmdKnn(flags);
-  if (command == "reconstruct") return CmdReconstruct(flags);
-  if (command == "serve-bench") return CmdServeBench(flags);
-  if (command == "server") return CmdServer(flags);
+  for (const Command& c : Commands()) {
+    if (command != c.name) continue;
+    const Flags flags(argc, argv, 2);
+    if (const std::string unknown = flags.FirstUnknown(c.flags);
+        !unknown.empty()) {
+      return Fail(("unknown flag --" + unknown).c_str());
+    }
+    return c.run(flags);
+  }
   PrintUsage();
   return 1;
 }
