@@ -6,8 +6,12 @@
 // Protocol: C clients each keep exactly one request outstanding (submit,
 // wait, repeat over a shuffled trajectory set), so the attainable batch size
 // is bounded by C and the dispatcher's window decides how much coalescing
-// actually happens. Results are bit-identical across all settings (the
-// service's determinism contract); only the timing varies.
+// actually happens. The sweep runs twice: 8 clients with max_batch 8, where
+// a batch fills while a flush runs, and 2 clients with the service's default
+// max_batch (perfbench's connection count and server shape), where no batch
+// can fill and the window alone decides when a flush starts. Results are
+// bit-identical across all settings (the service's determinism contract);
+// only the timing varies.
 //
 // Ahead of the closed loop, the raw encoder is swept across SIMD dispatch
 // tiers (scalar vs avx2 where supported), at the bench model's size and at
@@ -44,11 +48,11 @@ struct WindowResult {
 
 WindowResult RunClosedLoop(const core::T2Vec& model,
                            const std::vector<traj::Trajectory>& trips,
-                           size_t num_clients, size_t requests_per_client,
-                           int window_us) {
+                           size_t num_clients, size_t max_batch,
+                           size_t requests_per_client, int window_us) {
   serve::ServiceOptions options;
   options.batch_window = std::chrono::microseconds(window_us);
-  options.max_batch = num_clients;
+  options.max_batch = max_batch;
   options.queue_capacity = 4 * num_clients;
   serve::EmbeddingService service(&model, options);
 
@@ -192,28 +196,38 @@ int main() {
 
   BenchPaperShape(&metrics);
 
-  // ---- Closed-loop service sweep. ---------------------------------------
-  const size_t clients = 8;
+  // ---- Closed-loop service sweeps. --------------------------------------
+  // {clients, max_batch, metric prefix}; the 8-client names predate the
+  // 2-client sweep and keep their meaning.
+  struct Sweep {
+    size_t clients;
+    size_t max_batch;
+    std::string prefix;
+  };
+  const Sweep sweeps[] = {{8, 8, ""},
+                          {2, serve::ServiceOptions{}.max_batch, "c2_"}};
   const size_t requests_per_client = eval::Scaled(150, 30);
-
-  std::printf("\nclosed loop: %zu clients x %zu requests, max_batch %zu, "
-              "simd %s\n",
-              clients, requests_per_client, clients,
-              SimdTierName(ActiveSimdTier()));
-  std::printf("%-10s %12s %12s %12s %12s\n", "window_us", "req/s",
-              "mean_batch", "p50_us", "p99_us");
-
-  for (const int window_us : {0, 100, 500, 2000}) {
-    const WindowResult r =
-        RunClosedLoop(model, trips, clients, requests_per_client, window_us);
-    const double rps = static_cast<double>(r.requests) / r.seconds;
-    std::printf("%-10d %12.1f %12.2f %12.1f %12.1f\n", r.window_us, rps,
-                r.mean_batch, r.p50_us, r.p99_us);
-    const std::string prefix = "win" + std::to_string(window_us) + "us_";
-    metrics.emplace_back(prefix + "throughput_rps", rps);
-    metrics.emplace_back(prefix + "mean_batch", r.mean_batch);
-    metrics.emplace_back(prefix + "p50_us", r.p50_us);
-    metrics.emplace_back(prefix + "p99_us", r.p99_us);
+  for (const Sweep& sweep : sweeps) {
+    std::printf("\nclosed loop: %zu clients x %zu requests, max_batch %zu, "
+                "simd %s\n",
+                sweep.clients, requests_per_client, sweep.max_batch,
+                SimdTierName(ActiveSimdTier()));
+    std::printf("%-10s %12s %12s %12s %12s\n", "window_us", "req/s",
+                "mean_batch", "p50_us", "p99_us");
+    for (const int window_us : {0, 100, 500, 2000}) {
+      const WindowResult r =
+          RunClosedLoop(model, trips, sweep.clients, sweep.max_batch,
+                        requests_per_client, window_us);
+      const double rps = static_cast<double>(r.requests) / r.seconds;
+      std::printf("%-10d %12.1f %12.2f %12.1f %12.1f\n", r.window_us, rps,
+                  r.mean_batch, r.p50_us, r.p99_us);
+      const std::string prefix =
+          sweep.prefix + "win" + std::to_string(window_us) + "us_";
+      metrics.emplace_back(prefix + "throughput_rps", rps);
+      metrics.emplace_back(prefix + "mean_batch", r.mean_batch);
+      metrics.emplace_back(prefix + "p50_us", r.p50_us);
+      metrics.emplace_back(prefix + "p99_us", r.p99_us);
+    }
   }
   WriteBenchJson("BENCH_serve.json", metrics);
   std::printf("\nwrote BENCH_serve.json\n");

@@ -145,7 +145,6 @@ int main() {
 
   serve::ServerOptions options;
   options.port = 0;  // Ephemeral: the benchmark must not fight over a port.
-  options.service.batch_window = std::chrono::microseconds(500);
   // Tight enough that the phase-3 slowloris reap is visible inside the run;
   // the closed-loop clients never idle, so they are unaffected.
   options.idle_timeout = std::chrono::milliseconds(5'000);

@@ -136,6 +136,9 @@ void EmbeddingService::Flush(std::vector<Request> batch) {
 }
 
 void EmbeddingService::DispatchLoop() {
+  // The service's start counts as the first flush, so requests submitted
+  // right after construction still wait a window for company.
+  Clock::time_point last_flush = Clock::now();
   // Predicate loops are spelled out (common/sync.h): a wait lambda would be
   // analyzed as its own unlocked function and defeat the GUARDED_BY checks.
   mu_.Lock();
@@ -145,12 +148,16 @@ void EmbeddingService::DispatchLoop() {
       if (stop_) break;
       continue;
     }
-    // Let a micro-batch accumulate: flush when the queue could fill one, or
-    // when the head request has waited out the batch window, or on stop
-    // (drain mode never waits).
+    // Flush when the queue could fill a micro-batch, on stop (drain mode
+    // never waits), or one batch window past the earlier of the head
+    // request's arrival and the previous flush's start. Waiting only pays
+    // while requests queue behind a running flush, so a request that finds
+    // the dispatcher idle for a window is encoded at once, and partial
+    // flushes under load stay a window apart.
     if (!stop_ && options_.batch_window.count() > 0) {
       const Clock::time_point flush_at =
-          queue_.front().enqueue_time + options_.batch_window;
+          std::min(queue_.front().enqueue_time, last_flush) +
+          options_.batch_window;
       while (!stop_ && queue_.size() < options_.max_batch) {
         if (work_cv_.WaitUntil(&mu_, flush_at) == std::cv_status::timeout) {
           break;
@@ -158,6 +165,7 @@ void EmbeddingService::DispatchLoop() {
       }
       if (queue_.empty()) continue;  // Drained by a racing state change.
     }
+    last_flush = Clock::now();
     std::vector<Request> batch = TakeBatchLocked();
     mu_.Unlock();
     Flush(std::move(batch));

@@ -44,9 +44,13 @@ struct ServiceOptions {
   size_t queue_capacity = 256;
   /// Max requests per micro-batch flush.
   size_t max_batch = 32;
-  /// How long the dispatcher waits for more arrivals after the oldest
-  /// pending request, before flushing a partial batch. 0 = flush eagerly.
-  std::chrono::microseconds batch_window{1000};
+  /// Spacing of partial flushes, and the longest a request waits for
+  /// company: a batch that cannot fill is flushed one window after the
+  /// earlier of its oldest request's arrival and the previous flush's start
+  /// (the service's start counts as the first flush), so a request that
+  /// finds the dispatcher idle for a window is encoded at once. 0 = flush
+  /// eagerly.
+  std::chrono::microseconds batch_window{500};
 };
 
 /// A single-model online encoder with micro-batching.

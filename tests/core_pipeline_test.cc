@@ -1,11 +1,20 @@
 // End-to-end pipeline tests: tiny-scale training runs that verify the full
 // t2vec recipe learns representations with the paper's qualitative
 // properties. These are the slowest tests in the suite (~1 min total).
+//
+// The PipelineTest cases share one trained model. A direct run of the
+// binary trains it in-process; under ctest, `--save-model=PATH` trains and
+// saves it once per run and every case reads it with `--load-model=PATH`
+// (tests/CMakeLists.txt). Training is deterministic and Save/Load
+// round-trips bit-exactly, so both give the cases the same model.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstring>
+#include <optional>
+#include <string_view>
+#include <utility>
 
 #include "common/rng.h"
 #include "core/cell_pretrain.h"
@@ -20,15 +29,24 @@
 namespace t2vec::core {
 namespace {
 
+// The shared PipelineTest model: loaded by main() when given
+// --load-model, otherwise trained by the first case that asks for it.
+std::optional<T2Vec>& SharedModel() {
+  static std::optional<T2Vec> model;
+  return model;
+}
+
 // Small but meaningful training setup shared by the pipeline tests.
 class PipelineTest : public ::testing::Test {
+ public:
+  static T2Vec TrainModel() {
+    return T2Vec::Train(Data().train.trajectories(), TinyTrainConfig());
+  }
+
  protected:
   static const T2Vec& Model() {
-    static T2Vec* model = [] {
-      const eval::ExperimentData data = Data();
-      T2VecConfig config = TinyTrainConfig();
-      return new T2Vec(T2Vec::Train(data.train.trajectories(), config));
-    }();
+    std::optional<T2Vec>& model = SharedModel();
+    if (!model) model.emplace(TrainModel());
     return *model;
   }
 
@@ -228,3 +246,38 @@ TEST(VRnnTest, TrainsAndEncodes) {
 
 }  // namespace
 }  // namespace t2vec::core
+
+int main(int argc, char** argv) {
+  using t2vec::core::PipelineTest;
+  using t2vec::core::T2Vec;
+  ::testing::InitGoogleTest(&argc, argv);
+  constexpr std::string_view kSave = "--save-model=";
+  constexpr std::string_view kLoad = "--load-model=";
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg.starts_with(kSave)) {
+      const std::string path(arg.substr(kSave.size()));
+      const t2vec::Status status = PipelineTest::TrainModel().Save(path);
+      if (!status.ok()) {
+        std::fprintf(stderr, "saving %s: %s\n", path.c_str(),
+                     status.ToString().c_str());
+        return 1;
+      }
+      std::printf("trained the PipelineTest model into %s\n", path.c_str());
+      return 0;
+    }
+    if (arg.starts_with(kLoad)) {
+      const std::string path(arg.substr(kLoad.size()));
+      t2vec::Result<T2Vec> loaded = T2Vec::Load(path);
+      if (!loaded.ok()) {
+        std::fprintf(stderr,
+                     "loading %s: %s (ctest's core_pipeline_train_model "
+                     "entry writes it)\n",
+                     path.c_str(), loaded.status().ToString().c_str());
+        return 1;
+      }
+      t2vec::core::SharedModel().emplace(std::move(loaded.value()));
+    }
+  }
+  return RUN_ALL_TESTS();
+}

@@ -169,6 +169,42 @@ TEST_F(ServeTest, MixedLengthBatchMatchesEncodeOne) {
   }
 }
 
+// Waiting for company only pays while requests queue behind a running
+// flush. A request that finds the dispatcher idle for longer than a window
+// is encoded at once; one that arrives right after a flush waits until a
+// window has passed since that flush started.
+TEST_F(ServeTest, LoneRequestAfterIdleWindowIsEncodedAtOnce) {
+  const std::vector<float> expected0 = Model().EncodeOne(Trips()[0]);
+  const std::vector<float> expected1 = Model().EncodeOne(Trips()[1]);
+  ServiceOptions options;
+  options.batch_window = std::chrono::milliseconds(400);
+  EmbeddingService service(&Model(), options);
+  std::this_thread::sleep_for(options.batch_window +
+                              std::chrono::milliseconds(100));
+
+  const EmbeddingService::Clock::time_point start =
+      EmbeddingService::Clock::now();
+  auto elapsed_ms = [start] {
+    return std::chrono::duration<double, std::milli>(
+               EmbeddingService::Clock::now() - start)
+        .count();
+  };
+  EmbeddingService::EncodeResult first = service.Submit(Trips()[0]).get();
+  const double first_ms = elapsed_ms();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_TRUE(BitIdentical(first.value(), expected0));
+  EXPECT_LT(first_ms, 200.0);
+
+  // The first flush started after `start`, so the second request cannot
+  // complete before a whole window has passed since then.
+  EmbeddingService::EncodeResult second = service.Submit(Trips()[1]).get();
+  EXPECT_GE(elapsed_ms(), 400.0);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_TRUE(BitIdentical(second.value(), expected1));
+  service.Shutdown();
+  EXPECT_EQ(service.metrics().flushes.value(), 2);
+}
+
 TEST_F(ServeTest, QueueFullRejectsWithUnavailable) {
   ServiceOptions options;
   options.queue_capacity = 2;

@@ -15,16 +15,20 @@
 // (--index exact|lsh|ivf plus --nlist/--nprobe/--lsh-tables/--lsh-bits):
 // the retrieval backend is a config choice, never hard-coded.
 //
-// A flag the subcommand does not read is an error. Exit status is non-zero
-// on any error; diagnostics go to stderr.
+// A flag the subcommand does not read is an error, and so are a number that
+// does not parse whole or is out of range for its flag and an argument that
+// is neither a flag nor a flag's value; all fail before any file is read.
+// Exit status is non-zero on any error; diagnostics go to stderr.
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
@@ -43,21 +47,76 @@ namespace {
 
 using namespace t2vec;
 
+// Parses all of `text` as a base-10 integer (no sign other than '-', no
+// whitespace, no trailing junk); false on anything else or on overflow.
+bool ParseInt(const std::string& text, long* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+// Like ParseInt, for a finite floating-point number.
+bool ParseReal(const std::string& text, double* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end && std::isfinite(*out);
+}
+
+// What a flag's value must be.
+enum class Arg {
+  kText,
+  kSwitch,       // No value: --no-pretrain.
+  kPositive,     // An integer in [1, INT_MAX]: sizes, counts, timeouts.
+  kNonNegative,  // An integer >= 0: indexes, seeds, 0-means-none values.
+  kPort,         // An integer in [0, 65535].
+  kReal,         // A finite number.
+};
+
+struct FlagSpec {
+  std::string name;
+  Arg arg = Arg::kText;
+};
+
+bool Valid(Arg arg, const std::string& value) {
+  long n = 0;
+  double x = 0.0;
+  switch (arg) {
+    case Arg::kText:
+      return true;
+    case Arg::kSwitch:
+      return value.empty();
+    case Arg::kPositive:
+      return ParseInt(value, &n) && n >= 1 &&
+             n <= std::numeric_limits<int>::max();
+    case Arg::kNonNegative:
+      return ParseInt(value, &n) && n >= 0;
+    case Arg::kPort:
+      return ParseInt(value, &n) && n >= 0 && n <= 65535;
+    case Arg::kReal:
+      return ParseReal(value, &x);
+  }
+  return false;
+}
+
 // Minimal --key value parser; flags must come in pairs.
 class Flags {
  public:
   Flags(int argc, char** argv, int first) {
     for (int i = first; i < argc; ++i) {
-      if (std::strncmp(argv[i], "--", 2) != 0) continue;
+      if (std::strncmp(argv[i], "--", 2) != 0) {
+        if (stray_.empty()) stray_ = argv[i];
+        continue;
+      }
       // A flag followed by another flag (or nothing) is boolean, e.g.
-      // --no-pretrain; otherwise it consumes the next arg.
+      // --no-pretrain, and has an empty value; otherwise it consumes the
+      // next arg.
       // insert_or_assign: GCC 12's -Wrestrict miscounts the inlined
       // char-pointer operator= here at -O3.
       if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
         values_.insert_or_assign(argv[i] + 2, std::string(argv[i + 1]));
         ++i;
       } else {
-        values_.insert_or_assign(argv[i] + 2, std::string("1"));
+        values_.insert_or_assign(argv[i] + 2, std::string());
       }
     }
   }
@@ -66,21 +125,33 @@ class Flags {
     auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second;
   }
+  // The numeric getters read values that Check() has accepted.
   long GetInt(const std::string& key, long fallback) const {
     auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atol(it->second.c_str());
+    long value = fallback;
+    if (it != values_.end()) ParseInt(it->second, &value);
+    return value;
   }
   double GetDouble(const std::string& key, double fallback) const {
     auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
+    double value = fallback;
+    if (it != values_.end()) ParseReal(it->second, &value);
+    return value;
   }
   bool Has(const std::string& key) const { return values_.count(key) > 0; }
 
-  /// The first flag given that is not in `known`, or "" when there is none.
-  std::string FirstUnknown(const std::vector<std::string>& known) const {
+  /// The error for an argument that is neither a flag nor a flag's value,
+  /// or for the first flag given that is not in `specs` or whose value is
+  /// not of its kind; "" when every argument is valid.
+  std::string Check(const std::vector<FlagSpec>& specs) const {
+    if (!stray_.empty()) return "unexpected argument " + stray_;
     for (const auto& [key, value] : values_) {
-      if (std::find(known.begin(), known.end(), key) == known.end()) {
-        return key;
+      const auto spec =
+          std::find_if(specs.begin(), specs.end(),
+                       [&key](const FlagSpec& s) { return s.name == key; });
+      if (spec == specs.end()) return "unknown flag --" + key;
+      if (!Valid(spec->arg, value)) {
+        return "invalid value for --" + key + ": " + value;
       }
     }
     return "";
@@ -88,6 +159,7 @@ class Flags {
 
  private:
   std::map<std::string, std::string> values_;
+  std::string stray_;  // The first argument that is not a flag or a value.
 };
 
 int Fail(const char* message) {
@@ -254,6 +326,8 @@ int CmdReconstruct(const Flags& flags) {
   if (!flags.Has("model") || !flags.Has("data")) {
     return Fail("reconstruct requires --model and --data");
   }
+  const double drop = flags.GetDouble("drop", 0.6);
+  if (!(drop >= 0.0 && drop < 1.0)) return Fail("--drop must be in [0, 1)");
   Result<core::T2Vec> model = core::T2Vec::Load(flags.Get("model", ""));
   if (!model.ok()) return Fail(model.status().ToString().c_str());
   Result<traj::Dataset> data = traj::Dataset::Load(flags.Get("data", ""));
@@ -261,7 +335,6 @@ int CmdReconstruct(const Flags& flags) {
 
   const size_t query = static_cast<size_t>(flags.GetInt("query-index", 0));
   if (query >= data.value().size()) return Fail("query index out of range");
-  const double drop = flags.GetDouble("drop", 0.6);
 
   Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 7)));
   const traj::Trajectory& dense = data.value()[query];
@@ -298,13 +371,10 @@ int CmdServeBench(const Flags& flags) {
 
   const size_t clients = static_cast<size_t>(flags.GetInt("clients", 8));
   const size_t requests = static_cast<size_t>(flags.GetInt("requests", 100));
-  if (clients == 0 || requests == 0) {
-    return Fail("--clients and --requests must be positive");
-  }
 
   serve::ServiceOptions options;
-  options.batch_window =
-      std::chrono::microseconds(flags.GetInt("window-us", 500));
+  options.batch_window = std::chrono::microseconds(
+      flags.GetInt("window-us", options.batch_window.count()));
   options.max_batch = static_cast<size_t>(
       flags.GetInt("max-batch", static_cast<long>(clients)));
   options.queue_capacity = 4 * clients;
@@ -402,10 +472,10 @@ int CmdServer(const Flags& flags) {
 
   serve::ServerOptions options;
   options.port = static_cast<uint16_t>(flags.GetInt("port", 0));
-  options.service.batch_window =
-      std::chrono::microseconds(flags.GetInt("window-us", 500));
-  options.service.max_batch =
-      static_cast<size_t>(flags.GetInt("max-batch", 32));
+  options.service.batch_window = std::chrono::microseconds(
+      flags.GetInt("window-us", options.service.batch_window.count()));
+  options.service.max_batch = static_cast<size_t>(flags.GetInt(
+      "max-batch", static_cast<long>(options.service.max_batch)));
   // Overload governance (DESIGN.md §8.4): connection cap and reaping
   // timeouts for slow or dead peers.
   options.max_connections =
@@ -465,43 +535,80 @@ void PrintUsage() {
       "              [--ivf-iters I] [--lsh-tables T] [--lsh-bits B]\n");
 }
 
-// A subcommand and every flag it reads. Flags accepts any --key, so
-// without this list a typo (--nprob) or a retired flag would silently keep
-// the default.
+// A subcommand and every flag it reads, with the kind of value each takes.
+// Flags accepts any --key, so without this list a typo (--nprob), a retired
+// flag or a malformed number would silently keep the default or read as 0.
 struct Command {
   const char* name;
   int (*run)(const Flags&);
-  std::vector<std::string> flags;
+  std::vector<FlagSpec> flags;
 };
 
 std::vector<Command> Commands() {
-  auto with_index_flags = [](std::vector<std::string> flags) {
-    for (const char* f :
-         {"index", "nlist", "nprobe", "ivf-iters", "lsh-tables", "lsh-bits"}) {
-      flags.emplace_back(f);
-    }
+  auto with_index_flags = [](std::vector<FlagSpec> flags) {
+    flags.insert(flags.end(), {{"index"},
+                               {"nlist", Arg::kPositive},
+                               {"nprobe", Arg::kPositive},
+                               {"ivf-iters", Arg::kPositive},
+                               {"lsh-tables", Arg::kPositive},
+                               {"lsh-bits", Arg::kPositive}});
     return flags;
   };
   return {
-      {"generate", CmdGenerate, {"out", "count", "preset", "seed"}},
+      {"generate",
+       CmdGenerate,
+       {{"out"},
+        {"count", Arg::kPositive},
+        {"preset"},
+        {"seed", Arg::kNonNegative}}},
       {"train",
        CmdTrain,
-       {"data", "model", "iters", "hidden", "cell-size", "loss", "no-pretrain",
-        "checkpoint-dir", "checkpoint-every", "resume"}},
-      {"encode", CmdEncode, {"model", "data", "out"}},
-      {"knn", CmdKnn,
-       with_index_flags({"model", "data", "query-index", "k"})},
+       {{"data"},
+        {"model"},
+        {"iters", Arg::kPositive},
+        {"hidden", Arg::kPositive},
+        {"cell-size", Arg::kReal},
+        {"loss"},
+        {"no-pretrain", Arg::kSwitch},
+        {"checkpoint-dir"},
+        {"checkpoint-every", Arg::kPositive},
+        {"resume"}}},
+      {"encode", CmdEncode, {{"model"}, {"data"}, {"out"}}},
+      {"knn",
+       CmdKnn,
+       with_index_flags({{"model"},
+                         {"data"},
+                         {"query-index", Arg::kNonNegative},
+                         {"k", Arg::kPositive}})},
       {"reconstruct",
        CmdReconstruct,
-       {"model", "data", "query-index", "drop", "seed"}},
-      {"serve-bench", CmdServeBench,
-       with_index_flags({"model", "data", "clients", "requests", "window-us",
-                         "max-batch", "k"})},
-      {"server", CmdServer,
-       with_index_flags({"model", "data-dir", "port", "run-seconds",
-                         "window-us", "max-batch", "compact-bytes",
-                         "max-conns", "idle-timeout-ms", "read-timeout-ms",
-                         "drain-ms"})},
+       {{"model"},
+        {"data"},
+        {"query-index", Arg::kNonNegative},
+        {"drop", Arg::kReal},
+        {"seed", Arg::kNonNegative}}},
+      {"serve-bench",
+       CmdServeBench,
+       with_index_flags({{"model"},
+                         {"data"},
+                         {"clients", Arg::kPositive},
+                         {"requests", Arg::kPositive},
+                         {"window-us", Arg::kNonNegative},
+                         {"max-batch", Arg::kPositive},
+                         {"k", Arg::kPositive}})},
+      {"server",
+       CmdServer,
+       with_index_flags({{"model"},
+                         {"data-dir"},
+                         {"port", Arg::kPort},
+                         {"run-seconds", Arg::kNonNegative},
+                         {"window-us", Arg::kNonNegative},
+                         {"max-batch", Arg::kPositive},
+                         {"compact-bytes", Arg::kNonNegative},
+                         {"max-conns", Arg::kPositive},
+                         {"idle-timeout-ms", Arg::kPositive},
+                         {"read-timeout-ms", Arg::kPositive},
+                         {"drain-ms", Arg::kNonNegative}})},
   };
 }
 
@@ -516,9 +623,8 @@ int main(int argc, char** argv) {
   for (const Command& c : Commands()) {
     if (command != c.name) continue;
     const Flags flags(argc, argv, 2);
-    if (const std::string unknown = flags.FirstUnknown(c.flags);
-        !unknown.empty()) {
-      return Fail(("unknown flag --" + unknown).c_str());
+    if (const std::string error = flags.Check(c.flags); !error.empty()) {
+      return Fail(error.c_str());
     }
     return c.run(flags);
   }
