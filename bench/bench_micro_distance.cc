@@ -1,11 +1,19 @@
 // Microbenchmarks of the per-pair cost of every similarity measure as the
 // trajectory length grows — the empirical backing of the paper's complexity
 // argument: the DP baselines are O(n^2) (EDwP O((n+m)^2) with a larger
-// constant), while the vector distance is O(|v|) after O(n) encoding.
+// constant) — and of what t2vec pays instead once trajectories are encoded:
+// the library's exact kNN scan and rank query over a store of vectors.
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <memory>
+#include <vector>
+
 #include "common/rng.h"
+#include "common/thread_pool.h"
+#include "core/ann_index.h"
+#include "core/vec_index.h"
 #include "dist/classic.h"
 #include "dist/edwp.h"
 #include "geo/point.h"
@@ -77,27 +85,80 @@ void BM_Frechet(benchmark::State& state) {
 }
 BENCHMARK(BM_Frechet)->Range(16, 256)->Complexity(benchmark::oNSquared);
 
-// The t2vec online cost: Euclidean distance between |v|-dim vectors. This
-// is what a query pays per database entry after offline encoding.
-void BM_VectorDistance(benchmark::State& state) {
-  const size_t d = static_cast<size_t>(state.range(0));
-  Rng rng(13);
-  std::vector<float> a(d), b(d);
-  for (size_t i = 0; i < d; ++i) {
-    a[i] = static_cast<float>(rng.Gaussian());
-    b[i] = static_cast<float>(rng.Gaussian());
+// The t2vec online cost: an exact kNN scan (and a rank query) over a store
+// of 48-dim vectors, the served model's size. The synthetic rows are shaped
+// like served embeddings: tanh-saturated (rms |x| about 0.99) and close
+// together (squared distances of order 1e-3), so the fp32 screen faces the
+// near-ties it would in serving. Stores of 100,000 rows (knn_db100k's) and
+// 9,000 rows (about ingest_mix's mean); k = 10; state.range(1) threads.
+constexpr size_t kEmbedDim = 48;
+constexpr size_t kQueries = 64;
+
+std::vector<float> EmbeddingLike(size_t n, uint64_t seed) {
+  Rng center_rng(17);
+  std::vector<double> center(kEmbedDim);
+  for (double& c : center) {
+    c = (center_rng.Uniform() < 0.5 ? -3.0 : 3.0) *
+        (1.0 + 0.2 * center_rng.Gaussian());
   }
-  for (auto _ : state) {
-    double acc = 0.0;
-    for (size_t i = 0; i < d; ++i) {
-      const double diff = static_cast<double>(a[i]) - b[i];
-      acc += diff * diff;
-    }
-    benchmark::DoNotOptimize(acc);
+  Rng rng(seed);
+  std::vector<float> out(n * kEmbedDim);
+  for (size_t i = 0; i < out.size(); ++i) {
+    out[i] = static_cast<float>(
+        std::tanh(center[i % kEmbedDim] + 0.5 * rng.Gaussian()));
   }
-  state.SetComplexityN(state.range(0));
+  return out;
 }
-BENCHMARK(BM_VectorDistance)->Range(16, 256)->Complexity(benchmark::oN);
+
+std::unique_ptr<core::AnnIndex> EmbeddingIndex(size_t n) {
+  auto index = core::CreateIndex(core::IndexConfig{}, kEmbedDim);
+  const std::vector<float> rows = EmbeddingLike(n, 23);
+  for (size_t i = 0; i < n; ++i) {
+    index.value()->Add({&rows[i * kEmbedDim], kEmbedDim});
+  }
+  return std::move(index.value());
+}
+
+void BM_ExactTopK(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const std::unique_ptr<core::AnnIndex> index = EmbeddingIndex(n);
+  const std::vector<float> queries = EmbeddingLike(kQueries, 29);
+  ScopedNumThreads threads(static_cast<int>(state.range(1)));
+  size_t q = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        index->Query({&queries[q * kEmbedDim], kEmbedDim}, 10));
+    q = (q + 1) % kQueries;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ExactTopK)
+    ->Args({100000, 1})
+    ->Args({100000, 4})
+    ->Args({9000, 1})
+    ->Args({9000, 4})
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_RankOf(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const std::unique_ptr<core::AnnIndex> index = EmbeddingIndex(n);
+  const auto& exact = static_cast<const core::VectorIndex&>(*index);
+  const std::vector<float> queries = EmbeddingLike(kQueries, 29);
+  ScopedNumThreads threads(static_cast<int>(state.range(1)));
+  size_t q = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        exact.RankOf(&queries[q * kEmbedDim], (q * 7919) % n));
+    q = (q + 1) % kQueries;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RankOf)
+    ->Args({100000, 1})
+    ->Args({100000, 4})
+    ->Args({9000, 1})
+    ->Args({9000, 4})
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

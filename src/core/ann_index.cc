@@ -1,6 +1,9 @@
 #include "core/ann_index.h"
 
+#include <cmath>
 #include <cstdio>
+#include <limits>
+#include <memory>
 #include <utility>
 
 #include "common/macros.h"
@@ -14,9 +17,11 @@ namespace t2vec::core {
 
 namespace {
 
-// Positions scored per kernel block: a block's distances stay in L1 while
+// Re-scored positions per f64 block: a block's distances stay in L1 while
 // the scan's visitor consumes them.
 constexpr size_t kScoreBlock = 256;
+
+constexpr float kInf = std::numeric_limits<float>::infinity();
 
 using Scored = std::pair<double, size_t>;
 
@@ -49,7 +54,76 @@ class BoundedTopK {
   std::vector<Scored> heap_;
 };
 
+// Scores KeepReachable compares with the cut together, without a branch,
+// before looking at any one of them: once k scores are in, most runs of
+// this many lie wholly above the cut.
+constexpr size_t kSkipRun = 16;
+
+// Appends to `rescore` the positions first + i, ascending, of the chunk
+// rows whose fp32 score could still reach the chunk's k-th smallest f64
+// score (0 < k < count). The cut is the one the chunk's k smallest fp32
+// scores allow (NaN ranking above +inf). One pass keeps every row at or
+// below a running cut, set by the k smallest scores seen so far, which
+// only falls; the final cut then picks among the kept rows, so the set
+// depends only on the chunk's scores.
+void KeepReachable(const ScreenBound& bound, const float* scores,
+                   size_t count, size_t k, size_t first,
+                   std::vector<size_t>* rescore) {
+  std::vector<float> heap;  // max-heap of the k smallest scores seen
+  heap.reserve(k);
+  std::vector<uint32_t> kept;
+  float cut = kInf;
+  const auto offer = [&](size_t i) {
+    const float s = scores[i];
+    if (s > cut) return;
+    kept.push_back(static_cast<uint32_t>(i));
+    if (heap.size() < k) {
+      heap.push_back(std::isnan(s) ? kInf : s);
+      std::push_heap(heap.begin(), heap.end());
+      if (heap.size() < k) return;
+    } else if (s < heap.front()) {
+      std::pop_heap(heap.begin(), heap.end());
+      heap.back() = s;
+      std::push_heap(heap.begin(), heap.end());
+    } else {
+      return;
+    }
+    cut = bound.RulesOutAbove(bound.Upper(heap.front()));
+  };
+  size_t run = 0;
+  for (; run + kSkipRun <= count; run += kSkipRun) {
+    bool any = false;
+    for (size_t j = run; j < run + kSkipRun; ++j) any |= !(scores[j] > cut);
+    if (!any) continue;
+    for (size_t j = run; j < run + kSkipRun; ++j) offer(j);
+  }
+  for (; run < count; ++run) offer(run);
+  for (const uint32_t i : kept) {
+    if (!(scores[i] > cut)) rescore->push_back(first + i);
+  }
+}
+
 }  // namespace
+
+ScreenBound::ScreenBound(size_t dim) {
+  const double k32 = static_cast<double>(std::max(dim / 8, dim % 8) + 10);
+  const double k64 =
+      static_cast<double>(std::max(dim / 8 + 4, dim % 8 + 2) + 2);
+  e_ = k32 * 0x1p-24 <= 0.1 ? 2.0 * (k32 * 0x1p-24 + k64 * 0x1p-53)
+                            : std::numeric_limits<double>::quiet_NaN();
+  a_ = static_cast<double>(dim) * 0x1p-149;
+}
+
+float ScreenBound::RulesOutAbove(double limit) const {
+  // Rounded up to a float; a limit past FLT_MAX gives +inf.
+  return std::nextafter(static_cast<float>((limit + a_) / (1.0 - e_)), kInf);
+}
+
+float ScreenBound::SettlesBelow(double limit) const {
+  // Rounded down to a float; a limit past FLT_MAX gives FLT_MAX or less.
+  return std::nextafter(static_cast<float>((limit - a_) / (1.0 + e_)),
+                        -kInf);
+}
 
 const char* IndexKindName(IndexKind kind) {
   switch (kind) {
@@ -192,27 +266,37 @@ void AnnIndex::CountQuery(size_t candidates) const {
 }
 
 void AnnIndex::ScanRows(std::span<const float> query, size_t n,
-                        const uint32_t* ids, const ScanVisitor& visit) const {
+                        const uint32_t* ids, const ChunkScreen& screen,
+                        const ScanVisitor& visit) const {
   T2VEC_CHECK(query.size() == dim());
   const nn::KernelOps& ops = nn::Kernels();
   const size_t d = dim();
   const std::vector<double> q(query.begin(), query.end());
+  const auto row = [&](size_t pos) {
+    return rows_.Row(ids != nullptr ? ids[pos] : pos);
+  };
   const auto scan_chunk = [&](size_t chunk) {
-    const size_t end = std::min(n, (chunk + 1) * kScanChunkRows);
+    const size_t first = chunk * kScanChunkRows;
+    const size_t count = std::min(n - first, kScanChunkRows);
+    const auto scores = std::make_unique_for_overwrite<float[]>(count);
+    if (ids != nullptr) {
+      SqDistRows(
+          ops.sqdist4_f32, query.data(), d, count,
+          [&](size_t i) { return rows_.Row(ids[first + i]); }, scores.get());
+    } else {
+      SqDistRows(
+          ops.sqdist4_f32, query.data(), d, count,
+          [&](size_t i) { return rows_.Row(first + i); }, scores.get());
+    }
+    std::vector<size_t> rescore;
+    screen(chunk, first, scores.get(), count, &rescore);
     double distances[kScoreBlock];
-    for (size_t first = chunk * kScanChunkRows; first < end;
-         first += kScoreBlock) {
-      const size_t count = std::min(kScoreBlock, end - first);
-      if (ids != nullptr) {
-        SqDistRows(
-            ops, q.data(), d, count,
-            [&](size_t i) { return rows_.Row(ids[first + i]); }, distances);
-      } else {
-        SqDistRows(
-            ops, q.data(), d, count,
-            [&](size_t i) { return rows_.Row(first + i); }, distances);
-      }
-      visit(chunk, first, distances, count);
+    for (size_t b = 0; b < rescore.size(); b += kScoreBlock) {
+      const size_t m = std::min(kScoreBlock, rescore.size() - b);
+      SqDistRows(
+          ops.sqdist4_f64, q.data(), d, m,
+          [&](size_t i) { return row(rescore[b + i]); }, distances);
+      visit(chunk, rescore.data() + b, distances, m);
     }
   };
   const size_t chunks = ScanChunks(n);
@@ -252,12 +336,26 @@ KnnResult AnnIndex::TopK(std::span<const float> query, size_t k, size_t n,
   for (size_t chunk = 0; chunk < ScanChunks(n); ++chunk) {
     tops.emplace_back(std::min(k, kScanChunkRows));
   }
-  ScanRows(query, n, ids,
-           [&](size_t chunk, size_t first, const double* distances,
+  // A row whose fp32 score lies above the cut has an f64 score above the
+  // upper bound of the chunk's k-th smallest fp32 score, so k of the
+  // chunk's rows rank ahead of it and its f64 score is never needed. The
+  // cut is +inf or NaN when that k-th score is not finite, and every row
+  // stays.
+  const ScreenBound bound(dim());
+  const auto screen = [&](size_t /*chunk*/, size_t first, const float* scores,
+                          size_t count, std::vector<size_t>* rescore) {
+    if (k < count) {
+      KeepReachable(bound, scores, count, k, first, rescore);
+      return;
+    }
+    for (size_t i = 0; i < count; ++i) rescore->push_back(first + i);
+  };
+  ScanRows(query, n, ids, screen,
+           [&](size_t chunk, const size_t* positions, const double* distances,
                size_t count) {
              BoundedTopK& top = tops[chunk];
              for (size_t i = 0; i < count; ++i) {
-               const size_t pos = first + i;
+               const size_t pos = positions[i];
                top.Offer(distances[i], ids != nullptr ? ids[pos] : pos);
              }
            });

@@ -42,10 +42,12 @@
 ///
 /// Every backend answers through one exact top-k scan owned by the base
 /// (`ExactTopK`): the exact index over every row, IVF over its probed lists
-/// (or every row before training), LSH over its bucket candidates. Rows are
-/// scored four at a time by the dispatched `sqdist4_f64` kernel, each
-/// `kScanChunkRows`-row chunk keeps its own top-k, and the chunk results
-/// merge on the calling thread (DESIGN.md §4b).
+/// (or every row before training), LSH over its bucket candidates. The scan
+/// runs in `kScanChunkRows`-row chunks and two passes: the dispatched
+/// `sqdist4_f32` kernel scores every row of a chunk, and `sqdist4_f64`
+/// re-scores only the rows that `ScreenBound` cannot rule out of the
+/// chunk's top-k. Each chunk keeps its own top-k of f64 scores, and the
+/// chunk results merge on the calling thread (DESIGN.md §4b, §4e).
 
 namespace t2vec::core {
 
@@ -58,25 +60,67 @@ using dist::KnnResult;
 /// share of the store.
 inline constexpr size_t kScanChunkRows = 8192;
 
-/// Squared distances from `q`, a query widened to double, to `count` rows
-/// of length `dim`: out[i] equals `sqdist_f64(query, row(i), dim)` bit for
-/// bit. Rows go four per `sqdist4_f64` call; a partial last group repeats
-/// its last row and drops the spare outputs.
-template <typename RowFn>
-void SqDistRows(const nn::KernelOps& ops, const double* q, size_t dim,
-                size_t count, const RowFn& row, double* out) {
+/// Squared distances from `q` to `count` rows of length `dim` through a
+/// four-row kernel: `sqdist4_f64` (q widened to double; out[i] equals
+/// `sqdist_f64(query, row(i), dim)` bit for bit) or `sqdist4_f32`. A
+/// partial last group repeats its last row and drops the spare outputs.
+template <typename Q, typename Out, typename RowFn>
+void SqDistRows(void (*sqdist4)(const Q*, const float*, const float*,
+                                const float*, const float*, size_t, Out*),
+                const Q* q, size_t dim, size_t count, const RowFn& row,
+                Out* out) {
   size_t i = 0;
   for (; i + 4 <= count; i += 4) {
-    ops.sqdist4_f64(q, row(i), row(i + 1), row(i + 2), row(i + 3), dim,
-                    out + i);
+    sqdist4(q, row(i), row(i + 1), row(i + 2), row(i + 3), dim, out + i);
   }
   if (i == count) return;
   const float* last = row(count - 1);
-  double spare[4];
-  ops.sqdist4_f64(q, row(i), i + 1 < count ? row(i + 1) : last,
-                  i + 2 < count ? row(i + 2) : last, last, dim, spare);
+  Out spare[4];
+  sqdist4(q, row(i), i + 1 < count ? row(i + 1) : last,
+          i + 2 < count ? row(i + 2) : last, last, dim, spare);
   std::copy(spare, spare + (count - i), out + i);
 }
+
+/// A written bound on how far a row's f64 score D (`sqdist4_f64`, which
+/// every answer ranks by) can lie from its fp32 score F (`sqdist4_f32`)
+/// at one `dim`, so the exact scan can settle most rows from F alone.
+///
+/// With u = 2^-24 and U = 2^-53, F is the exact sum S of squared
+/// differences times at most K32 roundings of relative error u each, plus
+/// at most 2^-150 per fma whose result falls below FLT_MIN (fp32 additions
+/// and subtractions there are exact); D is S times at most K64 roundings of
+/// relative error U, and cannot underflow or overflow. K32 and K64 count
+/// the longest rounding chain of one term through each kernel's reduction
+/// (nn/kernels.h), the squared difference included. Hence, for finite F,
+///
+///     F (1 - e) - a  <  D  <=  F (1 + e) + a,
+///     e = 2 (K32 u + K64 U),  a = dim * 2^-149,
+///
+/// while K32 u <= 0.1; the factor 2 leaves a relative margin of at least
+/// 4.8e-7 for the double roundings of the cuts below. Past that dim, e is
+/// NaN and rules no row out. F = +inf means an fp32 input was infinite or
+/// an fp32 step overflowed, so D >= FLT_MAX (1 - e) - a (or D = +inf).
+/// F is NaN exactly when D is (some difference is NaN on both paths), and
+/// a NaN F is never settled.
+class ScreenBound {
+ public:
+  explicit ScreenBound(size_t dim);
+
+  /// An upper bound on D for fp32 score `f`: +inf or NaN unless f is finite.
+  double Upper(float f) const { return f * (1.0 + e_) + a_; }
+
+  /// A cut c such that every row with F > c has D > `limit`. +inf or NaN
+  /// when `limit` is not finite, so that no row is ruled out.
+  float RulesOutAbove(double limit) const;
+
+  /// A cut c such that every row with F < c has D < `limit`. NaN when
+  /// `limit` is NaN, so that no row is settled.
+  float SettlesBelow(double limit) const;
+
+ private:
+  double e_;  // relative term, NaN past the bound's range
+  double a_;  // absolute term, for fp32 results below FLT_MIN
+};
 
 /// Which nearest-neighbor backend serves queries.
 enum class IndexKind : uint32_t {
@@ -119,13 +163,13 @@ struct IndexStats {
   size_t size = 0;   // rows indexed
   size_t dim = 0;
   int64_t queries = 0;           // Query() calls served
-  int64_t candidates = 0;        // rows exactly scored across all queries
+  int64_t candidates = 0;        // positions scanned across all queries
   bool trained = true;           // IVF: quantizer trained (others: always)
   size_t nlist = 0;              // IVF: inverted lists (0 otherwise)
   size_t nprobe = 0;             // IVF: lists probed per query (0 otherwise)
 
-  /// Rows scored per query on average — the work an approximate index
-  /// saved relative to `size` rows for an exact scan.
+  /// Positions scanned per query on average — the work an approximate
+  /// index saved relative to `size` rows for an exact scan.
   double MeanCandidates() const;
 
   /// One-line JSON object for the server stats endpoint.
@@ -219,7 +263,7 @@ class AnnIndex {
   /// Diagnostics snapshot (kind, sizes, query/candidate counters).
   IndexStats Stats() const;
 
-  /// Mean rows exactly scored per query so far.
+  /// Mean positions scanned per query so far.
   double MeanCandidates() const;
 
   /// Appends the raw row bytes to `writer` (store snapshots embed them).
@@ -251,7 +295,7 @@ class AnnIndex {
 
   const RowStore& rows() const { return rows_; }
 
-  /// Records one served query that exactly scored `candidates` rows.
+  /// Records one served query that scanned `candidates` positions.
   void CountQuery(size_t candidates) const;
 
   /// The exact k nearest rows to `query` (length dim()), with squared
@@ -266,21 +310,30 @@ class AnnIndex {
   KnnResult ExactTopK(std::span<const float> query, size_t k,
                       std::span<const uint32_t> candidates) const;
 
-  /// Receives one block of a scan: the distances of scan positions
-  /// [first, first + count), which all lie in chunk `chunk`.
-  using ScanVisitor = std::function<void(size_t chunk, size_t first,
-                                         const double* distances,
-                                         size_t count)>;
+  /// Receives the fp32 scores of chunk `chunk`, scan positions
+  /// [first, first + count), and appends to `rescore`, ascending, the
+  /// positions whose f64 score the answer needs.
+  using ChunkScreen =
+      std::function<void(size_t chunk, size_t first, const float* scores,
+                         size_t count, std::vector<size_t>* rescore)>;
+
+  /// Receives the f64 scores of `count` positions of chunk `chunk` that its
+  /// screen kept, in the order it kept them.
+  using ScanVisitor =
+      std::function<void(size_t chunk, const size_t* positions,
+                         const double* distances, size_t count)>;
 
   /// Scores `n` scan positions against `query`: position p is row `ids[p]`,
-  /// or row p when `ids` is null. The query is widened to double once.
-  /// Positions split into kScanChunkRows-row chunks (ScanChunks(n) of
-  /// them); below 2 * kScanChunkRows positions the scan runs inline,
-  /// otherwise each pool lane claims the next unscanned chunk. Within a chunk, blocks reach `visit`
-  /// in ascending position order. `visit` must write only outputs owned by
-  /// its chunk, which makes the result independent of the schedule.
+  /// or row p when `ids` is null. Positions split into kScanChunkRows-row
+  /// chunks (ScanChunks(n) of them); below 2 * kScanChunkRows positions the
+  /// scan runs inline, otherwise each pool lane claims the next unscanned
+  /// chunk. Per chunk, `sqdist4_f32` scores every position, `screen` picks
+  /// the positions to re-score, and `sqdist4_f64` scores those (the query
+  /// widened to double once) for `visit`. `screen` and `visit` must write
+  /// only outputs owned by their chunk, which makes the result independent
+  /// of the schedule.
   void ScanRows(std::span<const float> query, size_t n, const uint32_t* ids,
-                const ScanVisitor& visit) const;
+                const ChunkScreen& screen, const ScanVisitor& visit) const;
 
   /// Number of chunks ScanRows splits `n` positions into.
   static size_t ScanChunks(size_t n) {

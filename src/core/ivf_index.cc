@@ -45,7 +45,7 @@ std::vector<double> IvfIndex::CentroidDistances(const float* vec) const {
   const std::vector<double> q(vec, vec + d);
   std::vector<double> dist(nlist_);
   SqDistRows(
-      nn::Kernels(), q.data(), d, nlist_,
+      nn::Kernels().sqdist4_f64, q.data(), d, nlist_,
       [&](size_t c) { return &centroids_[c * d]; }, dist.data());
   return dist;
 }

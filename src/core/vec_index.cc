@@ -11,6 +11,13 @@
 
 namespace t2vec::core {
 
+namespace {
+
+// Rows RankOf's screen tests per branch.
+constexpr size_t kOpenRun = 16;
+
+}  // namespace
+
 VectorIndex::VectorIndex(size_t dim) : AnnIndex(dim) {}
 
 VectorIndex::VectorIndex(const nn::Matrix& vectors)
@@ -38,18 +45,50 @@ KnnResult VectorIndex::Query(std::span<const float> query, size_t k) const {
 size_t VectorIndex::RankOf(const float* query, size_t target) const {
   T2VEC_CHECK(target < Size());
   const double target_dist = Distance(query, target);
+  // A row whose fp32 score lies below `closer_below` is strictly closer
+  // than the target and one above `farther_above` is not, whatever its f64
+  // score; only the rows between (the target among them) are re-scored. A
+  // NaN target distance settles no row.
+  const ScreenBound bound(dim());
+  const float closer_below = bound.SettlesBelow(target_dist);
+  const float farther_above = bound.RulesOutAbove(target_dist);
   // Strictly-closer rows counted per chunk; integer counts sum the same in
   // any order.
   std::vector<size_t> closer(ScanChunks(Size()), 0);
-  ScanRows({query, dim()}, Size(), nullptr,
-           [&](size_t chunk, size_t first, const double* distances,
-               size_t count) {
-             size_t n = 0;
-             for (size_t i = 0; i < count; ++i) {
-               if (first + i != target && distances[i] < target_dist) ++n;
-             }
-             closer[chunk] += n;
-           });
+  ScanRows(
+      {query, dim()}, Size(), nullptr,
+      [&, closer_below, farther_above](size_t chunk, size_t first,
+                                       const float* scores, size_t count,
+                                       std::vector<size_t>* rescore) {
+        // Runs of 16 rows are counted without a branch, since about half
+        // the rows fall each way; a run holding a row the bound leaves
+        // open is rare.
+        const auto open = [&](size_t i) {
+          return !(scores[i] < closer_below) & !(scores[i] > farther_above);
+        };
+        size_t n = 0;
+        for (size_t run = 0; run < count; run += kOpenRun) {
+          const size_t end = std::min(count, run + kOpenRun);
+          bool any = false;
+          for (size_t i = run; i < end; ++i) {
+            n += scores[i] < closer_below;
+            any |= open(i);
+          }
+          if (!any) continue;
+          for (size_t i = run; i < end; ++i) {
+            if (open(i)) rescore->push_back(first + i);
+          }
+        }
+        closer[chunk] += n;
+      },
+      [&](size_t chunk, const size_t* positions, const double* distances,
+          size_t count) {
+        size_t n = 0;
+        for (size_t i = 0; i < count; ++i) {
+          if (positions[i] != target && distances[i] < target_dist) ++n;
+        }
+        closer[chunk] += n;
+      });
   return std::accumulate(closer.begin(), closer.end(), size_t{1});
 }
 

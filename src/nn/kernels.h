@@ -64,6 +64,15 @@ struct KernelOps {
   void (*sqdist4_f64)(const double* q, const float* r0, const float* r1,
                       const float* r2, const float* r3, size_t n,
                       double* out);
+
+  /// Four squared distances in fp32 sharing one query: per row the
+  /// differences are taken in fp32 and reduce like dot4() (8 fma lanes, an
+  /// in-order fma tail, then tail + lane[0] + ... + lane[7]). The exact scan
+  /// screens rows with it before scoring the survivors with sqdist4_f64
+  /// (core::ScreenBound bounds the gap); rows are separate pointers for the
+  /// same reason as there.
+  void (*sqdist4_f32)(const float* q, const float* r0, const float* r1,
+                      const float* r2, const float* r3, size_t n, float* out);
 };
 
 /// The table for `tier`, falling back to scalar when the tier has no

@@ -243,9 +243,66 @@ void SqDist4Avx2(const double* __restrict q, const float* __restrict r0,
   out[3] = CombineF64(lo3, hi3, SqDistTail(q, r3, i, n));
 }
 
+// One 8-element step of a sqdist4_f32 chain: the ymm register is the scalar
+// kernel's lane array.
+inline __m256 SqDistF32Step(__m256 qv, const float* r, __m256 acc) {
+  const __m256 d = _mm256_sub_ps(qv, _mm256_loadu_ps(r));
+  return _mm256_fmadd_ps(d, d, acc);
+}
+
+void SqDist4F32Avx2(const float* __restrict q, const float* __restrict r0,
+                    const float* __restrict r1, const float* __restrict r2,
+                    const float* __restrict r3, size_t n,
+                    float* __restrict out) {
+  __m256 v0 = _mm256_setzero_ps(), v1 = _mm256_setzero_ps(),
+         v2 = _mm256_setzero_ps(), v3 = _mm256_setzero_ps();
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 qv = _mm256_loadu_ps(q + i);
+    v0 = SqDistF32Step(qv, r0 + i, v0);
+    v1 = SqDistF32Step(qv, r1 + i, v1);
+    v2 = SqDistF32Step(qv, r2 + i, v2);
+    v3 = SqDistF32Step(qv, r3 + i, v3);
+  }
+  // In-order tail per row, then tail + lane[0] + ... + lane[7] for the four
+  // rows at once: the lanes are transposed so that xmm add l adds lane l of
+  // every row, each row's adds in Dot4Avx2's order.
+  __m128 acc = _mm_setzero_ps();
+  if (i < n) {
+    const float* rows[4] = {r0, r1, r2, r3};
+    alignas(16) float tails[4];
+    for (size_t t = 0; t < 4; ++t) {
+      float tail = 0.0f;
+      for (size_t j = i; j < n; ++j) {
+        const float d = q[j] - rows[t][j];
+        tail = std::fma(d, d, tail);
+      }
+      tails[t] = tail;
+    }
+    acc = _mm_load_ps(tails);
+  }
+  // s_l holds lane l of rows 0..3 in its low half and lane l + 4 in its
+  // high half.
+  const __m256 t0 = _mm256_unpacklo_ps(v0, v1);
+  const __m256 t1 = _mm256_unpackhi_ps(v0, v1);
+  const __m256 t2 = _mm256_unpacklo_ps(v2, v3);
+  const __m256 t3 = _mm256_unpackhi_ps(v2, v3);
+  const __m256 s[4] = {
+      _mm256_shuffle_ps(t0, t2, 0x44), _mm256_shuffle_ps(t0, t2, 0xEE),
+      _mm256_shuffle_ps(t1, t3, 0x44), _mm256_shuffle_ps(t1, t3, 0xEE)};
+  for (const __m256 lanes : s) {
+    acc = _mm_add_ps(acc, _mm256_castps256_ps128(lanes));
+  }
+  for (const __m256 lanes : s) {
+    acc = _mm_add_ps(acc, _mm256_extractf128_ps(lanes, 1));
+  }
+  _mm_storeu_ps(out, acc);
+}
+
 constexpr KernelOps kAvx2Ops = {
     "avx2",     DotAvx2,    Dot4Avx2,    Tile8x32Avx2,
     SqNormAvx2, DotF64Avx2, SqDistAvx2, SqDist4Avx2,
+    SqDist4F32Avx2,
 };
 
 }  // namespace

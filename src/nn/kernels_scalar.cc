@@ -167,9 +167,37 @@ void SqDist4Scalar(const double* __restrict q, const float* __restrict r0,
   }
 }
 
+// Four fp32 squared distances sharing one query, in Dot4Scalar's reduction
+// shape with the fp32 difference in place of the product's first factor.
+void SqDist4F32Scalar(const float* __restrict q, const float* __restrict r0,
+                      const float* __restrict r1, const float* __restrict r2,
+                      const float* __restrict r3, size_t n,
+                      float* __restrict out) {
+  const float* rows[4] = {r0, r1, r2, r3};
+  float lanes[4][kLanes] = {};
+  size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    for (size_t t = 0; t < 4; ++t) {
+      for (size_t l = 0; l < kLanes; ++l) {
+        const float d = q[i + l] - rows[t][i + l];
+        lanes[t][l] = std::fma(d, d, lanes[t][l]);
+      }
+    }
+  }
+  for (size_t t = 0; t < 4; ++t) {
+    float acc = 0.0f;
+    for (size_t j = i; j < n; ++j) {
+      const float d = q[j] - rows[t][j];
+      acc = std::fma(d, d, acc);
+    }
+    out[t] = ReduceLanes(lanes[t], acc);
+  }
+}
+
 constexpr KernelOps kScalarOps = {
     "scalar",     DotScalar,    Dot4Scalar,   Tile8x32Scalar,
     SqNormScalar, DotF64Scalar, SqDistScalar, SqDist4Scalar,
+    SqDist4F32Scalar,
 };
 
 }  // namespace

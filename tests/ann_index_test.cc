@@ -7,19 +7,27 @@
 // inside an EmbeddingStore snapshot, so the snapshot checks save a store
 // built under each kind and reopen it with LoadMmap. The shared exact scan
 // is also checked over a store whose rows are split between an mmap'd
-// prefix and an owned tail.
+// prefix and an owned tail, and its fp32 screen against a brute-force f64
+// scan over corpora built to defeat it.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/cpu.h"
+#include "common/order.h"
 #include "common/rng.h"
+#include "common/sort.h"
 #include "common/thread_pool.h"
 #include "core/ann_index.h"
+#include "core/vec_index.h"
+#include "nn/kernels.h"
 #include "serve/embedding_store.h"
 
 namespace t2vec::core {
@@ -349,6 +357,296 @@ TEST(ExactScanStorageTest, MmapPrefixAndOwnedTailMatchAllOwnedRows) {
     }
   }
 }
+
+// ---------------------------------------------------------------------------
+// The fp32 screen never changes an answer: every backend's Query and
+// RankOf equal a brute-force f64 scan over corpora built to defeat it.
+// ---------------------------------------------------------------------------
+
+enum class Hazard { kNearQuery, kOverflow, kUnderflow, kTies, kNonFinite };
+
+const char* HazardName(Hazard hazard) {
+  switch (hazard) {
+    case Hazard::kNearQuery:
+      return "NearQuery";
+    case Hazard::kOverflow:
+      return "Overflow";
+    case Hazard::kUnderflow:
+      return "Underflow";
+    case Hazard::kTies:
+      return "Ties";
+    case Hazard::kNonFinite:
+      return "NonFinite";
+  }
+  return "unknown";
+}
+
+struct Corpus {
+  std::vector<float> rows;  // n x d, row-major
+  std::vector<std::vector<float>> queries;
+};
+
+float StepUlps(float x, int steps) {
+  const float toward = steps > 0 ? std::numeric_limits<float>::infinity()
+                                 : -std::numeric_limits<float>::infinity();
+  for (int s = 0; s < std::abs(steps); ++s) x = std::nextafter(x, toward);
+  return x;
+}
+
+std::vector<float> GaussianVec(size_t d, double scale, Rng& rng) {
+  std::vector<float> v(d);
+  for (float& x : v) x = static_cast<float>(scale * rng.Gaussian());
+  return v;
+}
+
+// n rows of d dims whose scores sit where fp32 and f64 disagree:
+//   kNearQuery  rows a few ulps from the query per coordinate (and exact
+//               copies), and rows one unit away in one coordinate and
+//               sub-ulp amounts in the rest, so fp32 rounding reorders
+//               near-equal distances;
+//   kOverflow   |x| near 1e20 and squared distances near FLT_MAX, where
+//               fp32 sums overflow to +inf and f64 ones do not;
+//   kUnderflow  differences near 1e-22, whose fp32 squares fall below
+//               FLT_MIN and round to a few multiples of 2^-149;
+//   kTies       copies of five vectors and their negations, so distances
+//               tie exactly (broken by row id);
+//   kNonFinite  rows holding a NaN or an infinity, a NaN query and an
+//               infinite one.
+Corpus MakeCorpus(Hazard hazard, size_t n, size_t d, uint64_t seed) {
+  Rng rng(seed);
+  Corpus c;
+  c.rows.reserve(n * d);
+  const auto add = [&](const std::vector<float>& row) {
+    c.rows.insert(c.rows.end(), row.begin(), row.end());
+  };
+  switch (hazard) {
+    case Hazard::kNearQuery: {
+      const std::vector<float> q = GaussianVec(d, 1.0, rng);
+      for (size_t i = 0; i < n; ++i) {
+        std::vector<float> row = q;
+        if (i % 2 == 0) {
+          if (i % 16 != 0) {
+            for (float& x : row) {
+              x = StepUlps(x, static_cast<int>(rng.UniformInt(7)) - 3);
+            }
+          }
+        } else {
+          // Seen from the third query, one coordinate differs by 1 and the
+          // rest by sub-ulp amounts: fp32 drops most of the small squares
+          // that f64 keeps, so the two orders differ by several ulps.
+          row[0] = StepUlps(q[0] + 1.0f,
+                            static_cast<int>(rng.UniformInt(3)) - 1);
+          for (size_t j = 2; j < d; ++j) {
+            row[j] = static_cast<float>(q[j] + 2e-4 * rng.Uniform());
+          }
+        }
+        add(row);
+      }
+      std::vector<float> moved = q;
+      moved[0] = StepUlps(moved[0], 1);
+      std::vector<float> unit_away = q;
+      unit_away[0] = q[0] + 1.0f;
+      unit_away[d - 1] = q[d - 1] + 1.0f;
+      c.queries = {q, moved, unit_away};
+      break;
+    }
+    case Hazard::kOverflow: {
+      const std::vector<float> q = GaussianVec(d, 1e20, rng);
+      // Per-coordinate offset whose squares sum to about FLT_MAX.
+      const double edge = std::sqrt(
+          static_cast<double>(std::numeric_limits<float>::max()) /
+          static_cast<double>(d));
+      for (size_t i = 0; i < n; ++i) {
+        std::vector<float> row = q;
+        if (i % 8 == 0) {
+          row = GaussianVec(d, 1e20, rng);
+        } else {
+          const double spread = i % 3 == 0 ? 1e-6 : 0.02;
+          for (size_t j = 0; j < d; ++j) {
+            const double sign = rng.Uniform() < 0.5 ? -1.0 : 1.0;
+            row[j] = static_cast<float>(
+                q[j] + sign * edge * (1.0 + spread * rng.Gaussian()));
+          }
+        }
+        add(row);
+      }
+      std::vector<float> moved = q;
+      moved[d - 1] = static_cast<float>(moved[d - 1] + 0.5 * edge);
+      c.queries = {q, moved};
+      break;
+    }
+    case Hazard::kUnderflow: {
+      const std::vector<float> q = GaussianVec(d, 1e-20, rng);
+      for (size_t i = 0; i < n; ++i) {
+        std::vector<float> row = q;
+        const double step = i % 10 == 0 ? 1e-19 : 1e-22;
+        for (size_t j = 0; j < d; ++j) {
+          row[j] = static_cast<float>(q[j] + step * rng.Gaussian());
+        }
+        add(row);
+      }
+      std::vector<float> moved = q;
+      moved[0] = static_cast<float>(moved[0] + 1e-22);
+      c.queries = {q, moved};
+      break;
+    }
+    case Hazard::kTies: {
+      std::vector<std::vector<float>> bases;
+      for (size_t b = 0; b < 5; ++b) bases.push_back(GaussianVec(d, 1.0, rng));
+      for (size_t i = 0; i < n; ++i) {
+        std::vector<float> row = bases[rng.UniformInt(5)];
+        if (rng.Uniform() < 0.5) {
+          for (float& x : row) x = -x;
+        }
+        add(row);
+      }
+      c.queries = {std::vector<float>(d, 0.0f), bases[0]};
+      break;
+    }
+    case Hazard::kNonFinite: {
+      const float kInf = std::numeric_limits<float>::infinity();
+      for (size_t i = 0; i < n; ++i) {
+        std::vector<float> row = GaussianVec(d, 1.0, rng);
+        const size_t j = rng.UniformInt(d);
+        if (i % 10 == 3) row[j] = std::numeric_limits<float>::quiet_NaN();
+        if (i % 10 == 5) row[j] = kInf;
+        if (i % 10 == 7) row[j] = -kInf;
+        add(row);
+      }
+      std::vector<float> nan_query = GaussianVec(d, 1.0, rng);
+      nan_query[d / 2] = std::numeric_limits<float>::quiet_NaN();
+      std::vector<float> inf_query = GaussianVec(d, 1.0, rng);
+      inf_query[0] = kInf;
+      c.queries = {GaussianVec(d, 1.0, rng), nan_query, inf_query};
+      break;
+    }
+  }
+  return c;
+}
+
+// sqdist_f64 to every row, then the k-prefix under NanLastLess.
+KnnResult BruteForceTopK(const std::vector<double>& dist, size_t k) {
+  std::vector<std::pair<double, size_t>> scored(dist.size());
+  for (size_t i = 0; i < dist.size(); ++i) scored[i] = {dist[i], i};
+  k = std::min(k, dist.size());
+  TotalOrderPartialSort(scored.begin(), scored.begin() + static_cast<long>(k),
+                        scored.end(), NanLastLess{});
+  KnnResult out;
+  for (size_t i = 0; i < k; ++i) {
+    out.ids.push_back(scored[i].second);
+    out.distances.push_back(scored[i].first);
+  }
+  return out;
+}
+
+class ScreenExactnessTest : public ::testing::TestWithParam<Hazard> {};
+
+TEST_P(ScreenExactnessTest, EveryAnswerMatchesBruteForceF64) {
+  // Every backend is configured so that it ranks all rows (LSH with one
+  // 1-bit table probes both buckets, IVF probes every list), which makes
+  // the brute-force scan its reference too. n below and above
+  // 2 * kScanChunkRows covers the inline and the pooled scan; k = n + 3
+  // re-scores every row.
+  const float kFltMax = std::numeric_limits<float>::max();
+  IndexConfig lsh;
+  lsh.kind = IndexKind::kLsh;
+  lsh.lsh_tables = 1;
+  lsh.lsh_bits = 1;
+  IndexConfig ivf = ConfigFor(IndexKind::kIvf);
+  ivf.ivf_nprobe = ivf.ivf_nlist;
+  const IndexConfig configs[] = {IndexConfig{}, lsh, ivf};
+  const SimdTier prev = ActiveSimdTier();
+  const nn::KernelOps& scalar = nn::KernelsFor(SimdTier::kScalar);
+  for (const size_t d : {size_t{1}, size_t{3}, size_t{17}, size_t{48},
+                         size_t{64}}) {
+    const ScreenBound bound(d);
+    for (const size_t n : {size_t{700}, 2 * kScanChunkRows + 321}) {
+      const std::string where = std::string(HazardName(GetParam())) +
+                                ", d=" + std::to_string(d) +
+                                ", n=" + std::to_string(n);
+      const Corpus corpus = MakeCorpus(GetParam(), n, d, 1000 * d + n);
+      std::vector<std::unique_ptr<AnnIndex>> indexes;
+      for (const IndexConfig& config : configs) {
+        auto created = CreateIndex(config, d);
+        ASSERT_TRUE(created.ok());
+        for (size_t i = 0; i < n; ++i) {
+          created.value()->Add({&corpus.rows[i * d], d});
+        }
+        indexes.push_back(std::move(created.value()));
+      }
+      const auto& exact = static_cast<const VectorIndex&>(*indexes[0]);
+      for (const std::vector<float>& query : corpus.queries) {
+        std::vector<double> dist(n);
+        for (size_t i = 0; i < n; ++i) {
+          dist[i] = scalar.sqdist_f64(query.data(), &corpus.rows[i * d], d);
+        }
+        // The written bound holds row by row: no fp32 score lies past the
+        // cuts its own f64 score gives, and NaN meets NaN.
+        for (size_t i = 0; i < n; ++i) {
+          const float* r = &corpus.rows[i * d];
+          float f[4];
+          scalar.sqdist4_f32(query.data(), r, r, r, r, d, f);
+          ASSERT_EQ(std::isnan(f[0]), std::isnan(dist[i])) << where;
+          if (std::isnan(f[0])) continue;
+          ASSERT_LE(dist[i], bound.Upper(f[0])) << where << ", row " << i;
+          ASSERT_FALSE(f[0] > bound.RulesOutAbove(dist[i]))
+              << where << ", row " << i;
+          ASSERT_FALSE(f[0] < bound.SettlesBelow(dist[i]))
+              << where << ", row " << i;
+          if (std::isinf(f[0])) {
+            ASSERT_GE(dist[i], kFltMax * (1.0 - 1e-3)) << where;
+          }
+        }
+        const size_t targets[] = {BruteForceTopK(dist, 1).ids[0],
+                                  BruteForceTopK(dist, 10).ids.back(),
+                                  n / 2, n - 1};
+        for (const SimdTier tier : {SimdTier::kScalar, SimdTier::kAvx2}) {
+          if (!SimdTierSupported(tier)) continue;
+          SetSimdTier(tier);
+          for (const int threads : {1, 3}) {
+            ScopedNumThreads guard(threads);
+            for (const size_t k : {size_t{1}, size_t{10}, n + 3}) {
+              const KnnResult want = BruteForceTopK(dist, k);
+              for (const auto& index : indexes) {
+                const KnnResult got = index->Query(query, k);
+                ASSERT_EQ(got.ids, want.ids)
+                    << where << ", " << IndexKindName(index->kind())
+                    << ", k=" << k << ", tier " << static_cast<int>(tier)
+                    << ", " << threads << " threads";
+                ASSERT_EQ(std::memcmp(got.distances.data(),
+                                      want.distances.data(),
+                                      want.size() * sizeof(double)),
+                          0)
+                    << where << ", " << IndexKindName(index->kind())
+                    << ", k=" << k;
+              }
+            }
+            for (const size_t target : targets) {
+              size_t rank = 1;
+              for (size_t i = 0; i < n; ++i) {
+                if (i != target && dist[i] < dist[target]) ++rank;
+              }
+              ASSERT_EQ(exact.RankOf(query.data(), target), rank)
+                  << where << ", target " << target << ", tier "
+                  << static_cast<int>(tier) << ", " << threads
+                  << " threads";
+            }
+          }
+        }
+        SetSimdTier(prev);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Hazards, ScreenExactnessTest,
+                         ::testing::Values(Hazard::kNearQuery,
+                                           Hazard::kOverflow,
+                                           Hazard::kUnderflow, Hazard::kTies,
+                                           Hazard::kNonFinite),
+                         [](const auto& info) {
+                           return std::string(HazardName(info.param));
+                         });
 
 }  // namespace
 }  // namespace t2vec::core

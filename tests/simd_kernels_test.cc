@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -190,6 +191,75 @@ TEST(SimdKernelsTest, SqDist4MatchesFourSqDistCallsOnEveryTier) {
           EXPECT_EQ(std::memcmp(got, want, sizeof(got)), 0)
               << ops->name << " sqdist4_f64 n=" << n << " rows " << g
               << ".." << g + 3;
+        }
+      }
+    }
+  }
+}
+
+// sqdist4_f32's documented reduction for one row: 8 fma lanes over the
+// body, an in-order fma tail, then tail + lane[0] + ... + lane[7].
+float SqDistF32Reference(const float* q, const float* r, size_t n) {
+  float lanes[8] = {};
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    for (size_t l = 0; l < 8; ++l) {
+      const float d = q[i + l] - r[i + l];
+      lanes[l] = std::fma(d, d, lanes[l]);
+    }
+  }
+  float acc = 0.0f;
+  for (; i < n; ++i) {
+    const float d = q[i] - r[i];
+    acc = std::fma(d, d, acc);
+  }
+  for (size_t l = 0; l < 8; ++l) acc += lanes[l];
+  return acc;
+}
+
+TEST(SimdKernelsTest, SqDist4F32BitIdenticalAcrossTiers) {
+  // Every tier's sqdist4_f32 must return the documented reduction's bits:
+  // a tail only (1, 7), one body step with and without a tail (8, 47), the
+  // served width (48) and a wider one (64). Each dim scores four finite
+  // rows, then four rows holding a NaN, +inf and -inf, against a finite
+  // probe and probes holding one NaN or infinity; as in the f64 case above,
+  // no row mixes a propagated NaN with an inf - inf NaN. The rows sit in
+  // two storage blocks of two rows each, and every group takes two rows
+  // from each block, like a scan group that straddles an index's mmap'd
+  // prefix and its owned tail.
+  const float kNaN = std::numeric_limits<float>::quiet_NaN();
+  const float kInf = std::numeric_limits<float>::infinity();
+  const KernelOps& ref = KernelsFor(SimdTier::kScalar);
+  std::vector<const KernelOps*> tiers = {&ref};
+  if (HaveAvx2()) tiers.push_back(&KernelsFor(SimdTier::kAvx2));
+  Rng rng(15);
+  for (const size_t n : {1u, 7u, 8u, 47u, 48u, 64u}) {
+    for (const bool non_finite : {false, true}) {
+      std::vector<float> first = RandomVec(2 * n, rng);
+      std::vector<float> second = RandomVec(2 * n, rng);
+      if (non_finite) {
+        first[n / 2] = kNaN;
+        first[n + n - 1] = kInf;
+        second[0] = -kInf;
+      }
+      const float* rows[4] = {first.data(), first.data() + n, second.data(),
+                              second.data() + n};
+      std::vector<std::vector<float>> probes(4, RandomVec(n, rng));
+      probes[1][n - 1] = kNaN;
+      probes[2][n / 2] = kInf;
+      probes[3][n - 1] = -kInf;
+      for (const std::vector<float>& q : probes) {
+        float want[4];
+        for (size_t t = 0; t < 4; ++t) {
+          want[t] = SqDistF32Reference(q.data(), rows[t], n);
+        }
+        for (const KernelOps* ops : tiers) {
+          float got[4];
+          ops->sqdist4_f32(q.data(), rows[0], rows[1], rows[2], rows[3], n,
+                           got);
+          EXPECT_EQ(std::memcmp(got, want, sizeof(got)), 0)
+              << ops->name << " sqdist4_f32 n=" << n
+              << " non_finite=" << non_finite;
         }
       }
     }
